@@ -2,7 +2,7 @@
 # ocamlformat is available — the sealed container does not ship it),
 # and the full test suite.
 
-.PHONY: all build test fmt check bench batch-bench generator-bench golden-update fuzz isegen-fuzz faults parallel-stress metrics-smoke daemon-smoke chaos clean
+.PHONY: all build test fmt check golden-update fuzz isegen-fuzz faults parallel-stress metrics-smoke daemon-smoke chaos clean
 
 all: build
 
@@ -22,24 +22,6 @@ fmt:
 	fi
 
 check: build fmt test
-
-# The engine benchmark validates its own output: it exits non-zero if
-# BENCH_engine.json is missing any expected key.
-bench:
-	dune exec bench/main.exe -- engine
-
-# Batch-service benchmark: 200-request stream with 4x duplication,
-# batched answers diffed against the sequential reference; exits
-# non-zero on any byte difference or a cold hit-rate below 50%.
-batch-bench: build
-	dune exec bench/main.exe -- batch
-
-# Candidate-generator benchmark: on blocks that saturate the exhaustive
-# enumerator's small budget, isegen must bank >= 1.2x the selected gain
-# within 2x of the deep enumeration's wall-clock (generator_scaling in
-# BENCH_engine.json).
-generator-bench: build
-	dune exec bench/main.exe -- generator
 
 # Regenerate the golden corpus (test/golden/) after a *deliberate*
 # output change: re-emit the request set, then record the sequential

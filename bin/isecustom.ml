@@ -7,7 +7,8 @@
      select <kernels...>          optimal inter-task selection (EDF/RMS)
      iterate <kernels...>         Chapter 5 iterative customization
      pareto <kernel>              exact / approximate workload-area fronts
-     experiment <id>              run one experiment from the registry
+     experiment [<id>]            run one experiment from the registry, or
+                                  the whole evaluation in paper order
      stats <id>                   run an experiment and print its span tree,
                                   histogram percentiles and telemetry
                                   (--prometheus / --flight for machine form)
@@ -474,11 +475,30 @@ let dot_cmd =
 
 let experiment_cmd =
   let id_arg =
-    let doc = "Experiment id (e.g. f3.3); use --list to enumerate." in
+    let doc =
+      "Experiment id (e.g. f3.3); use --list to enumerate.  Without an id, \
+       every experiment runs in paper order."
+    in
     Arg.(value & pos 0 (some string) None & info [] ~docv:"ID" ~doc)
   in
   let list_arg =
     Arg.(value & flag & info [ "list" ] ~doc:"List available experiments.")
+  in
+  (* The whole evaluation goes through [run_sweep]: a crashing driver is
+     reported in place and the rest of the paper still regenerates.
+     Returns the ids of the failed experiments. *)
+  let run_all pool =
+    List.filter_map
+      (fun ((e : Experiments.Registry.experiment), outcome) ->
+        match outcome with
+        | Ok (result : Experiments.Report.result) ->
+          Experiments.Report.render fmt result;
+          Format.fprintf fmt "[%s completed in %.1fs]@." e.id result.elapsed;
+          None
+        | Error msg ->
+          Format.fprintf fmt "@.=== %s: %s ===@.[FAILED: %s]@." e.id e.title msg;
+          Some e.id)
+      (Experiments.Registry.run_sweep ?pool Experiments.Registry.all)
   in
   let run obs list jobs no_cache stats generator id =
     apply_no_cache no_cache;
@@ -491,8 +511,14 @@ let experiment_cmd =
     else
       match id with
       | None ->
-        Format.eprintf "an experiment id or --list is required@.";
-        exit 1
+        let failures = with_jobs_pool jobs run_all in
+        if failures <> [] then
+          Format.fprintf fmt "@.[%d experiment(s) failed: %s]@."
+            (List.length failures) (String.concat ", " failures);
+        print_stats stats;
+        obs_finish obs;
+        Format.pp_print_flush fmt ();
+        if failures <> [] then exit 1
       | Some id ->
         (match Experiments.Registry.find id with
          | Some e ->
@@ -510,7 +536,9 @@ let experiment_cmd =
         Format.pp_print_flush fmt ()
   in
   Cmd.v
-    (Cmd.info "experiment" ~doc:"Run one experiment from the evaluation registry.")
+    (Cmd.info "experiment"
+       ~doc:"Run one experiment from the evaluation registry, or all of \
+             them in paper order.")
     Term.(
       const run $ obs_term $ list_arg $ jobs_arg $ no_cache_arg $ stats_arg
       $ generator_arg $ id_arg)

@@ -69,7 +69,9 @@ let run ~budget tasks =
     let delta = granularity ~budget (Array.to_list tasks) in
     let cells = (budget / delta) + 1 in
     Engine.Telemetry.add "edf.dp_cells" (n * cells);
-    Engine.Histogram.observe "edf.dp_cells" (float_of_int (n * cells));
+    (* distinct name: the registry keys kind by family name, so the
+       per-solve distribution cannot share the counter's name *)
+    Engine.Histogram.observe "edf.dp_cells_per_solve" (float_of_int (n * cells));
     let choice = dp_tables ~delta ~cells tasks in
     traceback ~delta ~choice tasks (cells - 1)
   end
@@ -104,7 +106,7 @@ let run_sweep ~budgets tasks =
       in
       let cells = (max_budget / delta) + 1 in
       Engine.Telemetry.add "edf.dp_cells" (n * cells);
-      Engine.Histogram.observe "edf.dp_cells" (float_of_int (n * cells));
+      Engine.Histogram.observe "edf.dp_cells_per_solve" (float_of_int (n * cells));
       let choice = dp_tables ~delta ~cells tasks in
       List.map (fun b -> traceback ~delta ~choice tasks (b / delta)) budgets
     end

@@ -3,7 +3,7 @@
    sorted label set.  Every access takes the single registry mutex —
    instrumented call sites touch it once per algorithm step, not per
    inner-loop iteration, so contention stays negligible (measured by
-   the bench's obs_overhead key).  Writes never raise: a kind clash
+   the observability floor of `dune build @perf-gates`).  Writes never raise: a kind clash
    drops the sample and bumps [obs.kind_clash] instead, because
    instrumentation must not take down the instrumented code. *)
 

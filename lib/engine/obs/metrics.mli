@@ -5,8 +5,8 @@
     [[("solver", "edf")]].  Label order never matters — sets are
     canonicalised on every access.  The whole registry sits behind one
     mutex, so families are safe to write from any domain; hot paths
-    touch it once per algorithm step, and the bench enforces < 5%
-    total overhead on the curve suite.
+    touch it once per algorithm step, and [dune build @perf-gates]
+    enforces < 5% total overhead on the curve suite.
 
     Writes are infallible by design: using a name with a conflicting
     kind drops the sample and bumps the [obs.kind_clash] counter

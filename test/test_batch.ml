@@ -260,7 +260,23 @@ let test_batch_equals_sequential_streams () =
       check bool "warm byte-identical" true (warm = sequential);
       check int "warm answers come from the memo" warm_stats.Batch.Service.unique
         warm_stats.Batch.Service.memo_hits)
-    (instances ~seed:4000 20)
+    (instances ~seed:4000 20);
+  (* the large stream: 50 distinct requests, each sent 4 times, at
+     every pool width and then memo-warm; dedup alone must answer at
+     least half of it cold *)
+  let reqs = Test_helpers.op_stream ~prefix:"b" ~seed:100 ~instances:10 ~copies:4 in
+  let sequential = List.map Batch.Service.respond reqs in
+  List.iter
+    (fun jobs ->
+      let memo = Engine.Memo.create ~shards:8 ~spill:false ~namespace:"test-svc" () in
+      Engine.Parallel.Pool.with_pool ~jobs @@ fun pool ->
+      let batched, stats = Batch.Service.run ~pool ~memo reqs in
+      check bool (Printf.sprintf "byte-identical at %d jobs" jobs) true
+        (batched = sequential);
+      check bool "cold hit-rate >= 0.5" true (Batch.Service.hit_rate stats >= 0.5);
+      let warm, _ = Batch.Service.run ~pool ~memo reqs in
+      check bool "memo-warm byte-identical" true (warm = sequential))
+    [ 1; 2; 4 ]
 
 let test_service_stats_accounting () =
   let inst = Check.Gen.instance (Util.Prng.create 77) in

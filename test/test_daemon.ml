@@ -106,6 +106,46 @@ let test_concurrent_clients_byte_identical () =
    | fs -> Alcotest.fail (String.concat "\n---\n" fs));
   check bool "every request answered" true (Daemon.Server.served _d >= 4 * List.length reqs)
 
+(* A generated stream of 40 distinct requests, each sent twice: a cold
+   one-shot batch, a cold daemon pass, a memo-warm daemon pass and 4
+   concurrent warm clients must all answer exactly like the sequential
+   solver, and the concurrent pass must feed the queue-wait histogram. *)
+let test_generated_stream_cold_and_warm () =
+  let reqs = Test_helpers.op_stream ~prefix:"d" ~seed:500 ~instances:8 ~copies:2 in
+  let want = List.map Batch.Service.respond reqs in
+  let cold, _ =
+    Engine.Parallel.Pool.with_pool ~jobs:2 @@ fun pool ->
+    Batch.Service.run ~pool ~memo:(fresh_memo ()) reqs
+  in
+  check bool "cold batch byte-identical" true (cold = want);
+  with_daemon @@ fun path _d ->
+  let replay () =
+    let c = Daemon.Client.connect ~unix_path:path () in
+    Fun.protect
+      ~finally:(fun () -> Daemon.Client.close c)
+      (fun () ->
+        List.map
+          (fun req ->
+            match Daemon.Client.rpc c req with
+            | Ok line -> line
+            | Error msg -> failwith msg)
+          reqs)
+  in
+  check bool "cold daemon pass byte-identical" true (replay () = want);
+  check bool "warm daemon pass byte-identical" true (replay () = want);
+  let s0 = Obs.Snapshot.take () in
+  let drifted = Atomic.make 0 in
+  let client () =
+    match replay () with
+    | got when got = want -> ()
+    | _ | (exception _) -> Atomic.incr drifted
+  in
+  List.iter Thread.join (List.init 4 (fun _ -> Thread.create client ()));
+  check int "concurrent clients byte-identical" 0 (Atomic.get drifted);
+  let d = Obs.Snapshot.delta ~before:s0 ~after:(Obs.Snapshot.take ()) in
+  check bool "queue wait sampled" true
+    (Obs.Snapshot.hist_stats d "daemon.queue_wait_s" <> None)
+
 (* The isegen curve subset of the corpus, replayed over a live
    connection: the daemon's memo/dedup path must keep the iterative
    generator's responses byte-identical to the committed expectations,
@@ -515,6 +555,8 @@ let () =
             test_concurrent_clients_byte_identical;
           Alcotest.test_case "isegen subset byte-identical" `Quick
             test_isegen_subset_byte_identical;
+          Alcotest.test_case "generated stream cold and warm" `Quick
+            test_generated_stream_cold_and_warm;
           Alcotest.test_case "overload sheds explicitly" `Quick
             test_overload_sheds_explicitly;
           Alcotest.test_case "drain flushes and refuses" `Quick

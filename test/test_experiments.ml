@@ -1,7 +1,7 @@
 (* Integration tests: the cheap experiment drivers run end-to-end and
    produce the landmarks the paper's tables contain.  The expensive
-   sweeps (f3.3, t6.1, ...) are exercised by `bench/main.exe`, not
-   here. *)
+   sweeps (f3.3, t6.1, ...) are exercised by `isecustom experiment`
+   (no id runs the whole evaluation), not here. *)
 
 let check = Alcotest.check
 let bool = Alcotest.bool
@@ -45,6 +45,26 @@ let test_curve_cache_consistent () =
     (Isa.Config.base_cycles a = Isa.Config.base_cycles b);
   check bool "same points" true (Isa.Config.points a = Isa.Config.points b)
 
+(* A cold warm-up of the Chapter 3 task-set kernels on a pool records
+   one curve.generate_s latency sample per generated curve. *)
+let test_cold_warm_records_latency () =
+  let names =
+    List.sort_uniq compare
+      (List.concat_map Experiments.Curves.taskset_ch3 [ 1; 2; 3; 4; 5; 6 ])
+  in
+  Engine.Cache.set_enabled false;
+  Fun.protect ~finally:(fun () -> Engine.Cache.set_enabled true) @@ fun () ->
+  Experiments.Curves.reset ();
+  let s0 = Obs.Snapshot.take () in
+  Engine.Parallel.Pool.with_pool ~jobs:2 (fun pool ->
+      Experiments.Curves.warm ~pool names);
+  let d = Obs.Snapshot.delta ~before:s0 ~after:(Obs.Snapshot.take ()) in
+  match Obs.Snapshot.hist_stats d "curve.generate_s" with
+  | Some (h : Obs.Metrics.hstats) ->
+    check Alcotest.int "one sample per kernel" (List.length names)
+      h.Obs.Metrics.count
+  | None -> Alcotest.fail "no curve.generate_s samples recorded"
+
 let test_tasks_of_utilization () =
   let tasks = Experiments.Curves.tasks_of ~u:1.05 [ "lms"; "ndes" ] in
   check (Alcotest.float 0.02) "target utilization" 1.05
@@ -56,6 +76,8 @@ let () =
         [ Alcotest.test_case "ids unique and findable" `Quick test_registry_ids_unique ] );
       ( "infrastructure",
         [ Alcotest.test_case "curve cache" `Quick test_curve_cache_consistent;
+          Alcotest.test_case "cold warm-up records curve latency" `Quick
+            test_cold_warm_records_latency;
           Alcotest.test_case "task builder" `Quick test_tasks_of_utilization ] );
       ( "drivers",
         [ Alcotest.test_case "t3.1 lists the six task sets" `Quick

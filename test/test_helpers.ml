@@ -1,4 +1,5 @@
-(* Shared QCheck generators for the test suites. *)
+(* Shared QCheck generators for the test suites, and the fixed inputs
+   the correctness tests and the timing floors (perf_gates.ml) share. *)
 
 let gen_small_dfg =
   (* A random DAG over valid and invalid operations, built the same way
@@ -104,3 +105,70 @@ let arb_rt_taskset =
   QCheck.make
     ~print:(fun ts -> String.concat ";" (List.map (fun t -> Format.asprintf "%a" Rt.Task.pp t) ts))
     gen_rt_taskset
+
+(* A solver request stream: one request per op over [instances]
+   generated instances (PRNG seeds [seed], [seed + 1], ...), the whole
+   list repeated [copies] times, ids [prefix] + position. *)
+let op_stream ~prefix ~seed ~instances ~copies =
+  let module P = Batch.Protocol in
+  let uniques =
+    List.concat_map
+      (fun i ->
+        let inst = Check.Gen.instance (Util.Prng.create (seed + i)) in
+        List.map
+          (fun op -> (op, inst))
+          [ P.Edf; P.Rms; P.Pareto_exact; P.Pareto_approx; P.Curve ])
+      (List.init instances Fun.id)
+  in
+  List.mapi
+    (fun i (op, instance) ->
+      { P.id = Printf.sprintf "%s%03d" prefix i; op; instance;
+        generator = Ise.Isegen.Exhaustive })
+    (List.concat (List.init copies (fun _ -> uniques)))
+
+let biggest_block name =
+  let blocks = Ir.Cfg.blocks (Kernels.find name) in
+  (List.fold_left
+     (fun acc (b : Ir.Cfg.block) ->
+       if Ir.Dfg.node_count b.Ir.Cfg.body > Ir.Dfg.node_count acc.Ir.Cfg.body
+       then b
+       else acc)
+     (List.hd blocks) blocks)
+    .Ir.Cfg.body
+
+(* Blocks big enough to saturate the exhaustive enumerator's small
+   budget: where the ISEGEN generator has to break the cap. *)
+let cap_breaking_blocks () =
+  [ ("sha", biggest_block "sha"); ("rijndael", biggest_block "rijndael");
+    ( "blockgen-400",
+      Kernels.Blockgen.block (Util.Prng.create 7) ~size:400
+        Kernels.Blockgen.dsp_mix ) ]
+
+(* Coverage scales with the block: a walk seeded from (almost) every
+   node, the merge pool drawn from the richer pool. *)
+let cap_breaking_params dfg =
+  { Ise.Isegen.default_params with
+    Ise.Isegen.restarts = min 256 (Ir.Dfg.node_count dfg);
+    merge_pool = 48 }
+
+(* Gain a selector can bank under the real ISA constraint: a handful
+   of free opcodes, so the 8 best pairwise-disjoint candidates. *)
+let selected_gain dfg cands =
+  let used = Util.Bitset.create (Ir.Dfg.node_count dfg) in
+  let sorted =
+    List.stable_sort
+      (fun a b -> compare (Isa.Custom_inst.gain b) (Isa.Custom_inst.gain a))
+      cands
+  in
+  let rec go acc left = function
+    | [] -> acc
+    | _ when left = 0 -> acc
+    | (ci : Isa.Custom_inst.t) :: rest ->
+      if Util.Bitset.intersects ci.Isa.Custom_inst.nodes used then
+        go acc left rest
+      else begin
+        Util.Bitset.union_into used ci.Isa.Custom_inst.nodes;
+        go (acc +. float_of_int (Isa.Custom_inst.gain ci)) (left - 1) rest
+      end
+  in
+  go 0. 8 sorted

@@ -42,16 +42,6 @@ let diamond () =
 let big_block seed size =
   Kernels.Blockgen.block (Util.Prng.create seed) ~size Kernels.Blockgen.dsp_mix
 
-let biggest_block name =
-  let blocks = Ir.Cfg.blocks (Kernels.find name) in
-  (List.fold_left
-     (fun acc (b : Ir.Cfg.block) ->
-       if Ir.Dfg.node_count b.Ir.Cfg.body > Ir.Dfg.node_count acc.Ir.Cfg.body
-       then b
-       else acc)
-     (List.hd blocks) blocks)
-    .Ir.Cfg.body
-
 let best_gain = function
   | [] -> 0
   | cis ->
@@ -122,7 +112,7 @@ let test_distinct_seeds_diverge () =
   check bool "at least two of five seeds differ" true (distinct > 1)
 
 let test_best_cut_is_head () =
-  let dfg = biggest_block "sha" in
+  let dfg = Test_helpers.biggest_block "sha" in
   let n = Ir.Dfg.node_count dfg in
   let allowed = Bitset.of_list n (Ir.Dfg.nodes dfg) in
   let params = { Ise.Isegen.default_params with Ise.Isegen.restarts = 8 } in
@@ -137,7 +127,7 @@ let test_best_cut_is_head () =
 (* ------------------------------------------------------------------ *)
 
 let test_guard_anytime_cut () =
-  let dfg = biggest_block "sha" in
+  let dfg = Test_helpers.biggest_block "sha" in
   let params = { Ise.Isegen.default_params with Ise.Isegen.restarts = 8 } in
   let full = Ise.Isegen.generate ~params dfg in
   let guard = Engine.Guard.create ~fuel:25 () in
@@ -164,7 +154,7 @@ let test_guard_anytime_cut () =
 let tight = { Ise.Enumerate.max_size = 4; max_explored = 500; max_candidates = 50 }
 
 let test_cap_saturation_counter () =
-  let dfg = biggest_block "sha" in
+  let dfg = Test_helpers.biggest_block "sha" in
   let before = Engine.Telemetry.counter "enumerate.cap_saturated" in
   let cands, saturation = Ise.Enumerate.connected_full ~budget:tight dfg in
   (match saturation with
@@ -181,15 +171,35 @@ let test_cap_saturation_counter () =
 let test_isegen_breaks_the_cap () =
   (* On a block where the tight exhaustive budget saturates, the
      iterative generator must find a strictly better candidate. *)
-  let dfg = biggest_block "sha" in
+  let dfg = Test_helpers.biggest_block "sha" in
   let capped, saturation = Ise.Enumerate.connected_full ~budget:tight dfg in
   check bool "exhaustive saturated" true (saturation <> None);
   let isegen = Ise.Isegen.generate dfg in
   check bool "isegen strictly beats the saturated enumeration" true
     (best_gain isegen > best_gain capped)
 
+(* The cap-breaking floor: on at least one block that saturates the
+   small exhaustive budget, ISEGEN must bank 1.2x the gain a selector
+   gets from the saturated pool. *)
+let test_isegen_gain_floor () =
+  let breaks (_, dfg) =
+    let capped, saturation =
+      Ise.Enumerate.connected_full ~budget:Ise.Enumerate.small_budget dfg
+    in
+    let isegen =
+      Ise.Isegen.generate ~params:(Test_helpers.cap_breaking_params dfg) dfg
+    in
+    let ratio =
+      Test_helpers.selected_gain dfg isegen
+      /. Float.max 1e-9 (Test_helpers.selected_gain dfg capped)
+    in
+    saturation <> None && ratio >= 1.2
+  in
+  check bool "a saturated block where isegen banks >= 1.2x" true
+    (List.exists breaks (Test_helpers.cap_breaking_blocks ()))
+
 let test_auto_switches () =
-  let dfg = biggest_block "sha" in
+  let dfg = Test_helpers.biggest_block "sha" in
   let before = Engine.Telemetry.counter "isegen.auto_switches" in
   let auto =
     Ise.Select.generate_candidates ~budget:tight ~generator:Ise.Isegen.Auto dfg
@@ -344,6 +354,8 @@ let () =
             test_cap_saturation_counter;
           Alcotest.test_case "isegen breaks the cap" `Quick
             test_isegen_breaks_the_cap;
+          Alcotest.test_case "isegen gain floor on saturated blocks" `Quick
+            test_isegen_gain_floor;
           Alcotest.test_case "auto switches on saturation" `Quick
             test_auto_switches;
           Alcotest.test_case "auto stays exhaustive below caps" `Quick

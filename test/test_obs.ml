@@ -403,6 +403,52 @@ let test_telemetry_shim_interop () =
   | None -> Alcotest.fail "legacy histogram write missing from registry"
   | Some h -> check int "one sample" 1 h.Obs.Metrics.count)
 
+(* ----------------------------- Kind clash ----------------------------- *)
+
+let golden file =
+  let local = Filename.concat "golden" file in
+  if Sys.file_exists local then local else Filename.concat "test/golden" file
+
+let golden_requests () =
+  let ic = open_in (golden "cases.jsonl") in
+  Fun.protect
+    ~finally:(fun () -> close_in_noerr ic)
+    (fun () ->
+      let rec go acc =
+        match input_line ic with
+        | l when String.trim l = "" -> go acc
+        | l -> (
+          match Batch.Protocol.parse_request l with
+          | Ok r -> go (r :: acc)
+          | Error msg -> Alcotest.failf "golden case does not parse: %s" msg)
+        | exception End_of_file -> List.rev acc
+      in
+      go [])
+
+(* Every instrumented solver path writes each family with one kind:
+   a clash silently drops samples, so a solver that reuses a counter's
+   name for its histogram loses its whole distribution. *)
+let test_solvers_no_kind_clash () =
+  let s0 = Obs.Snapshot.take () in
+  let inst = Check.Gen.instance (Util.Prng.create 11) in
+  let tasks = Check.Instance.tasks inst in
+  let budget = inst.Check.Instance.budget in
+  ignore (Core.Edf_select.run ~budget tasks : Core.Selection.t);
+  ignore
+    (Core.Edf_select.run_sweep ~budgets:[ budget / 2; budget ] tasks
+      : Core.Selection.t list);
+  ignore (Core.Rms_select.run ~budget tasks : Core.Selection.t option);
+  ignore
+    (Ise.Curve.generate ~params:Ise.Curve.small (Kernels.find "crc32")
+      : Isa.Config.t);
+  ignore (Batch.Service.run (golden_requests ()));
+  let d = Obs.Snapshot.delta ~before:s0 ~after:(Obs.Snapshot.take ()) in
+  check eps "no kind clash" 0. (Obs.Snapshot.counter d "obs.kind_clash");
+  match Obs.Snapshot.hist_stats d "edf.dp_cells_per_solve" with
+  | Some (h : Obs.Metrics.hstats) ->
+    check bool "one sample per EDF solve" true (h.Obs.Metrics.count >= 2)
+  | None -> Alcotest.fail "edf.dp_cells_per_solve has no samples"
+
 (* ------------------------------- Serve -------------------------------- *)
 
 let test_serve_roundtrip () =
@@ -470,7 +516,9 @@ let () =
           Alcotest.test_case "json shapes" `Quick test_snapshot_json_shapes ] );
       ( "interop",
         [ Alcotest.test_case "telemetry and histogram shims" `Quick
-            test_telemetry_shim_interop ] );
+            test_telemetry_shim_interop;
+          Alcotest.test_case "solvers write each family with one kind" `Quick
+            test_solvers_no_kind_clash ] );
       ( "serve",
         [ Alcotest.test_case "http round-trip" `Quick test_serve_roundtrip ] )
     ]
