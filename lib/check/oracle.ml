@@ -97,3 +97,177 @@ let pareto_exhaustive ?guard ~base entities =
         [] (with_zero e)
   in
   Util.Pareto_front.front (explore 0 0. entities)
+
+(* The Chapter 4 group-knapsack DP as it stood before the in-place
+   kernel of [Pareto.Mo_select]: fresh full-width arrays for every
+   entity row, scaled costs recomputed per (cell, option), one fresh
+   DP per FPTAS coordinate.  Kept unchanged as the differential
+   reference the [pareto] suite compares the production kernel with,
+   bit for bit.  Unlike the oracles above, its guard keeps the
+   production semantics (stop between entities, status [Partial]). *)
+module Pareto_ref = struct
+  type option_ = Pareto.Mo_select.option_ = { delta : float; cost : int }
+
+  let with_zero_option entity =
+    if Array.exists (fun o -> o.delta = 0. && o.cost = 0) entity then entity
+    else Array.append [| { delta = 0.; cost = 0 } |] entity
+
+  let normalise entities =
+    List.map with_zero_option entities
+    |> List.map
+         (Array.map (fun o ->
+              if o.cost < 0 || o.delta < 0. then
+                invalid_arg "Mo_select: negative option"
+              else o))
+
+  (* Group knapsack: one option per entity, maximise Σ delta subject to a
+     per-option cost function and a cell count.  Returns, per cost cell,
+     the best delta and the true (untransformed) cost of a solution
+     achieving it.
+
+     The guard is ticked once per entity, weighted by the row width (the
+     DP's actual work), and an exhausted guard stops the fold between
+     entities.  The prefix DP is still sound: every cell holds a choice
+     over the processed entities only, and [normalise] gives each entity
+     a zero option, so those partial solutions remain achievable — they
+     are just possibly dominated by full ones. *)
+  let group_knapsack ?guard entities ~cells ~scaled_cost =
+    let best = Array.make (cells + 1) neg_infinity in
+    let true_cost = Array.make (cells + 1) 0 in
+    best.(0) <- 0.;
+    let rec process = function
+      | [] -> ()
+      | entity :: rest ->
+        let row_ok =
+          match guard with
+          | None -> true
+          | Some g -> Engine.Guard.tick ~cost:(1 + cells) g
+        in
+        if row_ok then begin
+          let next = Array.make (cells + 1) neg_infinity in
+          let next_cost = Array.make (cells + 1) 0 in
+          for cell = 0 to cells do
+            if best.(cell) > neg_infinity then
+              Array.iter
+                (fun o ->
+                  let c = cell + scaled_cost o in
+                  if c <= cells then begin
+                    let d = best.(cell) +. o.delta in
+                    if d > next.(c) then begin
+                      next.(c) <- d;
+                      next_cost.(c) <- true_cost.(cell) + o.cost
+                    end
+                  end)
+                entity
+          done;
+          Array.blit next 0 best 0 (cells + 1);
+          Array.blit next_cost 0 true_cost 0 (cells + 1);
+          process rest
+        end
+    in
+    process entities;
+    (best, true_cost)
+
+  let exact_front_guarded ?guard ~base entities =
+    let guard =
+      match guard with Some g -> g | None -> Engine.Guard.default ()
+    in
+    let entities = normalise entities in
+    let total =
+      Util.Numeric.sum_by
+        (fun e -> Array.fold_left (fun acc o -> max acc o.cost) 0 e)
+        entities
+    in
+    let best, _ =
+      group_knapsack ~guard entities ~cells:total ~scaled_cost:(fun o -> o.cost)
+    in
+    let points = ref [] in
+    Array.iteri
+      (fun cost d ->
+        if d > neg_infinity then
+          points := { Util.Pareto_front.cost; value = base -. d } :: !points)
+      best;
+    (Util.Pareto_front.front !points, Engine.Guard.status guard)
+
+  let count_options entities =
+    Util.Numeric.sum_by Array.length entities
+
+  (* One scaled DP: costs mapped by a'= ⌈a·r/b⌉, capped at r cells. *)
+  let scaled_best ~r ~bound entities =
+    let scaled_cost o = Util.Numeric.ceil_div (o.cost * r) (max 1 bound) in
+    group_knapsack entities ~cells:r ~scaled_cost
+
+  let gap ~eps ~cost_bound ~value_bound ~base entities =
+    if eps <= 0. then invalid_arg "Mo_select.gap: eps must be positive";
+    let entities = normalise entities in
+    if cost_bound <= 0 then None
+    else begin
+      let n = max 1 (count_options entities) in
+      let r = int_of_float (ceil (float_of_int n /. eps)) in
+      let best, true_cost = scaled_best ~r ~bound:cost_bound entities in
+      let found = ref None in
+      Array.iteri
+        (fun cell d ->
+          if d > neg_infinity && base -. d <= value_bound +. 1e-9 then
+            let candidate =
+              { Util.Pareto_front.cost = true_cost.(cell); value = base -. d }
+            in
+            match !found with
+            | None -> found := Some candidate
+            | Some cur ->
+              if
+                candidate.value < cur.value
+                || (candidate.value = cur.value && candidate.cost < cur.cost)
+              then found := Some candidate)
+        best;
+      !found
+    end
+
+  let approx_front ~eps ~base entities =
+    if eps <= 0. then invalid_arg "Mo_select.approx_front: eps must be positive";
+    let entities = normalise entities in
+    let eps' = sqrt (1. +. eps) -. 1. in
+    let n = max 1 (count_options entities) in
+    let r = int_of_float (ceil (float_of_int n /. eps')) in
+    let max_cost =
+      List.fold_left
+        (fun acc e -> Array.fold_left (fun acc o -> max acc o.cost) acc e)
+        0 entities
+    in
+    let upper = max 1 (n * max_cost) in
+    (* Geometric grid of cost coordinates with ratio (1 + ε'). *)
+    let coords =
+      let rec build b acc =
+        if b > float_of_int upper then List.rev (upper :: acc)
+        else build (b *. (1. +. eps')) (int_of_float (ceil b) :: acc)
+      in
+      build 1. []
+      |> List.sort_uniq compare
+    in
+    let points = ref [ { Util.Pareto_front.cost = 0; value = base } ] in
+    List.iter
+      (fun b ->
+        let best, true_cost = scaled_best ~r ~bound:b entities in
+        (* Best value achievable at this coordinate. *)
+        let best_point = ref None in
+        Array.iteri
+          (fun cell d ->
+            if d > neg_infinity then
+              let p = { Util.Pareto_front.cost = true_cost.(cell); value = base -. d } in
+              match !best_point with
+              | None -> best_point := Some p
+              | Some cur -> if p.value < cur.value then best_point := Some p)
+          best;
+        match !best_point with
+        | Some p -> points := p :: !points
+        | None -> ())
+      coords;
+    Util.Pareto_front.front !points
+
+  let solve_at_cost ~cost ~base entities =
+    let entities = normalise entities in
+    let cells = max 0 cost in
+    let best, _ = group_knapsack entities ~cells ~scaled_cost:(fun o -> o.cost) in
+    let d = Array.fold_left Float.max neg_infinity best in
+    base -. d
+end

@@ -52,3 +52,32 @@ val pareto_exhaustive :
 (** Exact cost/value Pareto front by enumerating the full cross product
     of entity options (a zero option is added per entity, mirroring
     {!Pareto.Mo_select}'s convention) and filtering dominated points. *)
+
+(** The Chapter 4 group-knapsack solvers as they stood before the
+    allocation-free kernel: a fresh DP table per entity row, scaled
+    costs recomputed per cell.  Not a brute-force oracle but the
+    differential reference for {!Pareto.Mo_select}, which must return
+    identical results, float bits included.  Its guard degrades like
+    the production one instead of raising; its [gap] still answers
+    [None] at [cost_bound = 0], where the production one solves the
+    zero-cost options exactly. *)
+module Pareto_ref : sig
+  val exact_front_guarded :
+    ?guard:Engine.Guard.t ->
+    base:float ->
+    Pareto.Mo_select.entity list ->
+    Util.Pareto_front.point list * Engine.Guard.status
+
+  val gap :
+    eps:float ->
+    cost_bound:int ->
+    value_bound:float ->
+    base:float ->
+    Pareto.Mo_select.entity list ->
+    Util.Pareto_front.point option
+
+  val approx_front :
+    eps:float -> base:float -> Pareto.Mo_select.entity list -> Util.Pareto_front.point list
+
+  val solve_at_cost : cost:int -> base:float -> Pareto.Mo_select.entity list -> float
+end

@@ -361,6 +361,157 @@ let inter_stage_approx_covers =
           failf "inter-stage FPTAS misses the eps=%.3f cover (%d exact, %d approx)"
             inst.eps (List.length exact) (List.length approx)) }
 
+(* The production kernel against the reference copy of the DP it
+   replaced: same answers with the same float bits, the same partial
+   front and fuel under a fuel-limited guard. *)
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let same_points a b =
+  List.length a = List.length b
+  && List.for_all2
+       (fun (p : Util.Pareto_front.point) (q : Util.Pareto_front.point) ->
+         p.cost = q.cost && same_bits p.value q.value)
+       a b
+
+let same_point_option a b =
+  match (a, b) with
+  | None, None -> true
+  | Some p, Some q -> same_points [ p ] [ q ]
+  | _ -> false
+
+let rec first_failure = function
+  | [] -> Pass
+  | check :: rest -> (match check () with Pass -> first_failure rest | o -> o)
+
+let kernel_matches_reference =
+  { name = "kernel_matches_reference";
+    suite = "pareto";
+    run =
+      (fun inst ->
+        let module M = Pareto.Mo_select in
+        let module R = Oracle.Pareto_ref in
+        let base = base_of inst in
+        let budget = inst.Instance.budget in
+        (* [Instance.eps] spans [0.05, 1]; tripling it reaches 3 *)
+        let epsilons = [ inst.Instance.eps; 3. *. inst.Instance.eps ] in
+        let unlimited () = Engine.Guard.create () in
+        let against entities =
+          let exact_under fuel () =
+            let g_new = Engine.Guard.create ~fuel () in
+            let g_ref = Engine.Guard.create ~fuel () in
+            let got, st = M.exact_front_guarded ~guard:g_new ~base entities in
+            let want, st_ref = R.exact_front_guarded ~guard:g_ref ~base entities in
+            if not (same_points got want) then
+              failf "exact front under fuel %d: %d points, reference %d" fuel
+                (List.length got) (List.length want)
+            else if st <> st_ref then
+              failf "exact front under fuel %d: status %s, reference %s" fuel
+                (Engine.Guard.string_of_status st)
+                (Engine.Guard.string_of_status st_ref)
+            else if Engine.Guard.used g_new <> Engine.Guard.used g_ref then
+              failf "exact front under fuel %d: used %d fuel, reference %d" fuel
+                (Engine.Guard.used g_new) (Engine.Guard.used g_ref)
+            else Pass
+          in
+          let exact () =
+            let got, st = M.exact_front_guarded ~guard:(unlimited ()) ~base entities in
+            let want, _ = R.exact_front_guarded ~guard:(unlimited ()) ~base entities in
+            if st <> Engine.Guard.Exact then Fail "unlimited exact front is partial"
+            else if not (same_points got want) then
+              failf "exact front: %d points, reference %d" (List.length got)
+                (List.length want)
+            else Pass
+          in
+          let approx eps () =
+            let guard = unlimited () in
+            let got = M.approx_front ~guard ~eps ~base entities in
+            let want = R.approx_front ~eps ~base entities in
+            if Engine.Guard.status guard <> Engine.Guard.Exact then
+              failf "unlimited approx front at eps=%.3f is partial" eps
+            else if not (same_points got want) then
+              failf "approx front at eps=%.3f: %d points, reference %d" eps
+                (List.length got) (List.length want)
+            else Pass
+          in
+          (* The reference has no guard: a fuel-limited run must either
+             finish and match it, or stop with a front of achievable
+             points, reproducibly. *)
+          let approx_under fuel eps () =
+            let run () =
+              let guard = Engine.Guard.create ~fuel () in
+              let front = M.approx_front ~guard ~eps ~base entities in
+              (front, Engine.Guard.status guard, Engine.Guard.used guard)
+            in
+            let front, st, used = run () in
+            let front', st', used' = run () in
+            if not (same_points front front' && st = st' && used = used') then
+              failf "approx front under fuel %d is not reproducible" fuel
+            else
+              match st with
+              | Engine.Guard.Exact ->
+                if same_points front (R.approx_front ~eps ~base entities) then Pass
+                else failf "approx front under fuel %d finished but diverges" fuel
+              | Engine.Guard.Partial _ ->
+                if not (Util.Pareto_front.is_front front) then
+                  failf "partial approx front under fuel %d is not a front" fuel
+                else if
+                  not
+                    (List.for_all
+                       (fun (p : Util.Pareto_front.point) ->
+                         R.solve_at_cost ~cost:p.cost ~base entities <= p.value +. tol)
+                       front)
+                then
+                  failf "partial approx front under fuel %d has an unachievable point"
+                    fuel
+                else Pass
+          in
+          let gap eps cost_bound value_bound () =
+            let got = M.gap ~eps ~cost_bound ~value_bound ~base entities in
+            let want =
+              if cost_bound <> 0 then R.gap ~eps ~cost_bound ~value_bound ~base entities
+              else
+                (* the reference answers None here; the exact zero-cost
+                   optimum is what a zero bound admits *)
+                let v = R.solve_at_cost ~cost:0 ~base entities in
+                if v <= value_bound +. 1e-9 then
+                  Some { Util.Pareto_front.cost = 0; value = v }
+                else None
+            in
+            if same_point_option got want then Pass
+            else
+              failf "gap at eps=%.3f cost_bound=%d value_bound=%h diverges" eps
+                cost_bound value_bound
+          in
+          let solve cost () =
+            let got = M.solve_at_cost ~cost ~base entities in
+            let want = R.solve_at_cost ~cost ~base entities in
+            if same_bits got want then Pass
+            else failf "solve_at_cost %d: %h, reference %h" cost got want
+          in
+          let value_bounds =
+            let front, _ = R.exact_front_guarded ~guard:(unlimited ()) ~base entities in
+            List.map (fun (p : Util.Pareto_front.point) -> p.value) front
+            @ [ base -. 1e6 ]
+          in
+          [ exact; exact_under (1 + (3 * budget)); solve budget; solve 0; solve (-1) ]
+          @ List.concat_map
+              (fun eps ->
+                [ approx eps; approx_under (1 + (50 * budget)) eps ]
+                @ List.concat_map
+                    (fun w -> [ gap eps budget w; gap eps 0 w ])
+                    value_bounds)
+              epsilons
+        in
+        (* Rounding the deltas to multiples of 16 makes equal-delta
+           options common, which exercises the strict tie-break. *)
+        let coarse =
+          List.map
+            (Array.map (fun (o : M.option_) ->
+                 { o with M.delta = 16. *. Float.round (o.M.delta /. 16.) }))
+            (entities_of inst)
+        in
+        first_failure (against (entities_of inst) @ against coarse)) }
+
 (* ---------------------------------------------------------------- *)
 (* curve                                                            *)
 (* ---------------------------------------------------------------- *)
@@ -862,6 +1013,7 @@ let all =
     exact_front_matches_oracle;
     approx_front_eps_covers;
     inter_stage_approx_covers;
+    kernel_matches_reference;
     generated_curve_well_formed;
     candidates_respect_constraints;
     isegen_candidates_legal;

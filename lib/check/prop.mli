@@ -5,7 +5,8 @@
     Suites: [select] (Chapter 3 DP / branch-and-bound / heuristics vs
     exhaustive enumeration), [sched] (Bini–Buttazzo exact RMS test vs
     response-time analysis), [pareto] (exact DP front vs cross-product
-    enumeration, FPTAS ε-cover), [curve] (identification pipeline
+    enumeration, FPTAS ε-cover, the group-knapsack kernel vs its
+    pre-rewrite reference), [curve] (identification pipeline
     invariants on random DFGs), [engine] (cache round-trip and
     corruption tolerance, parallel ≡ sequential). *)
 

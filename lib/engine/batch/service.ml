@@ -98,11 +98,12 @@ let payload ?spec ?(generator = Ise.Isegen.Exhaustive) op
     in
     R.Obj [ status_field st; ("points", front_json front) ]
   | Pareto_approx ->
+    let guard = guard () in
     let front =
-      Pareto.Mo_select.approx_front ~eps:ci.Check.Instance.eps ~base:(base_of ci)
-        (entities_of ci)
+      Pareto.Mo_select.approx_front ~guard ~eps:ci.Check.Instance.eps
+        ~base:(base_of ci) (entities_of ci)
     in
-    R.Obj [ status_field Engine.Guard.Exact; ("points", front_json front) ]
+    R.Obj [ status_field (Engine.Guard.status guard); ("points", front_json front) ]
   | Curve ->
     let cfg =
       { Ir.Cfg.name = "batch"; code = Ir.Cfg.block "b0" (Check.Instance.dfg ci) }

@@ -14,7 +14,14 @@
     - {!approx_front} — the FPTAS of Algorithm 3: a geometric grid over
       the cost range with ratio (1+ε') where ε' = √(1+ε) − 1, one GAP
       call per coordinate, undominated solutions retained.  The result
-      ε-covers the exact front with polynomially many points. *)
+      ε-covers the exact front with polynomially many points.
+
+    All four share one group-knapsack kernel that allocates nothing per
+    entity row; {!approx_front} reuses one DP workspace across its
+    coordinates.  {!exact_front_guarded}, {!gap} and {!approx_front}
+    each record an [Engine.Trace] span ([pareto.exact], [pareto.gap],
+    [pareto.approx]) and add the DP cells they scanned to the
+    [pareto.dp_cells] counter, labelled by [solver]. *)
 
 type option_ = {
   delta : float;  (** value reduction when this option is chosen (≥ 0) *)
@@ -52,11 +59,27 @@ val gap :
   Util.Pareto_front.point option
 (** [gap ~eps ~cost_bound:c ~value_bound:w ...] either returns a solution
     with cost ≤ c and value ≤ w, or [None], which guarantees no solution
-    has cost ≤ c/(1+eps) and value ≤ w (the one-sided GAP guarantee). *)
+    has cost ≤ c/(1+eps) and value ≤ w (the one-sided GAP guarantee).
+    At [c = 0] only zero-cost options fit and the answer is exact; a
+    negative [c] always answers [None]. *)
 
 val approx_front :
-  eps:float -> base:float -> entity list -> Util.Pareto_front.point list
-(** ε-approximate Pareto curve; polynomial in the input size and 1/ε. *)
+  ?guard:Engine.Guard.t ->
+  eps:float ->
+  base:float ->
+  entity list ->
+  Util.Pareto_front.point list
+(** ε-approximate Pareto curve; polynomial in the input size and 1/ε.
+
+    Runs under [guard] (default: {!Engine.Guard.default}), read back
+    with {!Engine.Guard.status}.  Before each cost coordinate's GAP call
+    it spends [1 + r] fuel per entity row, where [r = ⌈n/ε'⌉] is the
+    scaled DP's width and [n] the option count.  On exhaustion it stops
+    between coordinates and returns the front of the coordinates solved
+    so far (always including the all-zero selection) — every point is
+    achievable, but the ε-cover is no longer guaranteed.  Raises
+    [Invalid_argument] when [eps] is not positive or so small that [r]
+    is not a valid array length. *)
 
 val solve_at_cost : cost:int -> base:float -> entity list -> float
 (** Minimum achievable value within a cost budget (exact DP restricted to

@@ -441,9 +441,28 @@ let test_solvers_no_kind_clash () =
   ignore
     (Ise.Curve.generate ~params:Ise.Curve.small (Kernels.find "crc32")
       : Isa.Config.t);
+  let entities =
+    List.map
+      (fun (ts : Check.Instance.task_spec) ->
+        Array.of_list
+          (List.map
+             (fun (p : Check.Instance.curve_point) ->
+               { Pareto.Mo_select.delta = float_of_int (ts.base - p.cycles);
+                 cost = p.area })
+             ts.points))
+      inst.Check.Instance.tasks
+  in
+  ignore
+    (Pareto.Mo_select.exact_front_guarded ~base:1000. entities
+      : Util.Pareto_front.point list * Engine.Guard.status);
+  ignore
+    (Pareto.Mo_select.approx_front ~eps:0.5 ~base:1000. entities
+      : Util.Pareto_front.point list);
   ignore (Batch.Service.run (golden_requests ()));
   let d = Obs.Snapshot.delta ~before:s0 ~after:(Obs.Snapshot.take ()) in
   check eps "no kind clash" 0. (Obs.Snapshot.counter d "obs.kind_clash");
+  check bool "Pareto DP cells counted" true
+    (Obs.Snapshot.counter d "pareto.dp_cells" > 0.);
   match Obs.Snapshot.hist_stats d "edf.dp_cells_per_solve" with
   | Some (h : Obs.Metrics.hstats) ->
     check bool "one sample per EDF solve" true (h.Obs.Metrics.count >= 2)

@@ -88,10 +88,20 @@ let test_gap_none_guarantee () =
        t1_entities
      = None)
 
+let test_gap_zero_cost_bound () =
+  (* the all-zero selection (cost 0, value 10) meets the bounds *)
+  check
+    (Alcotest.option (Alcotest.pair int (Alcotest.float 0.)))
+    "zero budget keeps the software point" (Some (0, 10.))
+    (Option.map
+       (fun p -> (p.Util.Pareto_front.cost, p.Util.Pareto_front.value))
+       (Pareto.Mo_select.gap ~eps:0.5 ~cost_bound:0 ~value_bound:10. ~base:10.
+          t1_entities))
+
 let prop_gap_sound =
   (* When GAP returns a point, the point satisfies the bounds. *)
   QCheck.Test.make ~name:"gap solutions satisfy their bounds" ~count:200
-    QCheck.(triple (int_range 1 200) (float_range 0. 15.) (float_range 0.1 3.))
+    QCheck.(triple (int_range 0 200) (float_range 0. 15.) (float_range 0.1 3.))
     (fun (cost_bound, value_bound, eps) ->
       match
         Pareto.Mo_select.gap ~eps ~cost_bound ~value_bound ~base:15. t2_entities
@@ -215,6 +225,8 @@ let () =
       ( "gap",
         [ Alcotest.test_case "returns dominating solution" `Quick test_gap_returns_dominating;
           Alcotest.test_case "None on unreachable value" `Quick test_gap_none_guarantee;
+          Alcotest.test_case "zero cost bound keeps the zero selection" `Quick
+            test_gap_zero_cost_bound;
           qt prop_gap_sound;
           qt prop_gap_complete_with_slack ] );
       ( "fptas",

@@ -143,6 +143,34 @@ let test_guarded_pareto_front_is_achievable () =
            exact))
     partial
 
+(* The golden g08 Pareto request with eps = 1e-6: the FPTAS grid then
+   has millions of coordinates and a ten-million-cell DP at each, which
+   used to run unguarded for well over 15 s.  Under fuel it must stop
+   between coordinates at once and say so. *)
+let test_tiny_eps_approx_is_partial () =
+  let line =
+    {|{"id": "g08", "op": "pareto_approx", "instance": {"budget": 10, "eps": 0.000001, "tasks": [{"period": 100, "base": 50, "points": [{"area": 5, "cycles": 30}, {"area": 10, "cycles": 20}]}, {"period": 80, "base": 40, "points": [{"area": 4, "cycles": 25}]}], "dfg": {"kinds": [], "edges": [], "live_outs": []}}}|}
+  in
+  let req =
+    match Batch.Protocol.parse_request line with
+    | Ok r -> r
+    | Error msg -> Alcotest.failf "request does not parse: %s" msg
+  in
+  let spec = { Engine.Guard.deadline_s = None; fuel = Some 100_000 } in
+  let t0 = Unix.gettimeofday () in
+  let answer = Batch.Service.answer ~spec req in
+  let elapsed = Unix.gettimeofday () -. t0 in
+  check bool "answered in under 1 s" true (elapsed < 1.);
+  let module R = Check.Repro in
+  match R.parse answer with
+  | R.Obj fields ->
+    check bool "reported partial" true
+      (List.assoc_opt "status" fields = Some (R.Str "partial"));
+    check bool "software point kept" true
+      (List.assoc_opt "points" fields
+       = Some (R.Arr [ R.Obj [ ("cost", R.Num 0.); ("value", R.Num 90.) ] ]))
+  | _ -> Alcotest.failf "answer is not an object: %s" answer
+
 let test_guarded_enumeration_is_prefix () =
   match Kernels.find_opt "adpcm_enc" with
   | None -> Alcotest.fail "adpcm_enc kernel missing"
@@ -381,6 +409,8 @@ let () =
             test_deadline_stops_pathological_search;
           Alcotest.test_case "guarded Pareto front is achievable" `Quick
             test_guarded_pareto_front_is_achievable;
+          Alcotest.test_case "tiny-eps Pareto approx stops under fuel" `Quick
+            test_tiny_eps_approx_is_partial;
           Alcotest.test_case "guarded enumeration is a prefix" `Quick
             test_guarded_enumeration_is_prefix ] );
       ( "fault",
