@@ -271,3 +271,224 @@ module Pareto_ref = struct
     let d = Array.fold_left Float.max neg_infinity best in
     base -. d
 end
+
+(* The identification algorithms as they stood before word bitsets, the
+   bounded queue and the ancestor-closure hull, minus their trace,
+   telemetry and saturation logging. *)
+module Bitset = Util.Bitset
+
+let key_of_set set = String.concat "," (List.map string_of_int (Bitset.elements set))
+
+module Enumerate_ref = struct
+  let frontier dfg allowed set =
+    let out = ref [] in
+    let consider v =
+      if
+        Ir.Dfg.valid_node dfg v
+        && (not (Bitset.mem set v))
+        && Bitset.mem allowed v
+        && not (List.mem v !out)
+      then out := v :: !out
+    in
+    Bitset.iter
+      (fun v ->
+        List.iter consider (Ir.Dfg.preds dfg v);
+        List.iter consider (Ir.Dfg.succs dfg v))
+      set;
+    !out
+
+  let connected_full ~guard ~constraints ~(budget : Ise.Enumerate.budget) ?allowed dfg =
+    let n = Ir.Dfg.node_count dfg in
+    let allowed =
+      match allowed with
+      | Some a -> a
+      | None -> Bitset.of_list n (List.init n (fun i -> i))
+    in
+    let seen = Hashtbl.create 1024 in
+    let queue = Queue.create () in
+    let push set =
+      let key = key_of_set set in
+      if not (Hashtbl.mem seen key) then begin
+        Hashtbl.add seen key ();
+        Queue.push set queue
+      end
+    in
+    for v = 0 to n - 1 do
+      if Ir.Dfg.valid_node dfg v && Bitset.mem allowed v then
+        push (Bitset.of_list n [ v ])
+    done;
+    let results = ref [] in
+    let emitted = ref 0 in
+    let explored = ref 0 in
+    while
+      (not (Queue.is_empty queue))
+      && !explored < budget.max_explored
+      && !emitted < budget.max_candidates
+      && Engine.Guard.tick guard
+    do
+      let set = Queue.pop queue in
+      incr explored;
+      (match Isa.Custom_inst.check ~constraints dfg set with
+       | Ok ci when Isa.Custom_inst.gain ci > 0 ->
+         incr emitted;
+         results := ci :: !results
+       | Ok _ | Error _ -> ());
+      if Bitset.cardinal set < budget.max_size then
+        List.iter
+          (fun v ->
+            let grown = Bitset.copy set in
+            Bitset.set grown v;
+            push grown)
+          (frontier dfg allowed set)
+    done;
+    let saturation =
+      if !emitted >= budget.max_candidates then Some Ise.Enumerate.Cap_candidates
+      else if (not (Queue.is_empty queue)) && !explored >= budget.max_explored
+      then Some Ise.Enumerate.Cap_explored
+      else None
+    in
+    (List.rev !results, saturation)
+end
+
+module Isegen_ref = struct
+  let frontier dfg allowed set =
+    let out = ref [] in
+    let consider v =
+      if
+        Ir.Dfg.valid_node dfg v
+        && (not (Bitset.mem set v))
+        && Bitset.mem allowed v
+        && not (List.mem v !out)
+      then out := v :: !out
+    in
+    Bitset.iter
+      (fun v ->
+        List.iter consider (Ir.Dfg.preds dfg v);
+        List.iter consider (Ir.Dfg.succs dfg v))
+      set;
+    List.sort compare !out
+
+  let generate ~guard ~constraints ~(params : Ise.Isegen.params) ?allowed dfg =
+    let n = Ir.Dfg.node_count dfg in
+    let allowed =
+      match allowed with
+      | Some a -> a
+      | None -> Bitset.of_list n (List.init n (fun i -> i))
+    in
+    let usable v = Ir.Dfg.valid_node dfg v && Bitset.mem allowed v in
+    let hull set v =
+      let c = Bitset.copy set in
+      Bitset.set c v;
+      let desc = Bitset.create n in
+      Bitset.iter (fun a -> Bitset.union_into desc (Ir.Dfg.reachable_from dfg a)) c;
+      let ok = ref true in
+      for w = 0 to n - 1 do
+        if
+          !ok && (not (Bitset.mem c w))
+          && Bitset.mem desc w
+          && Bitset.intersects (Ir.Dfg.reachable_from dfg w) c
+        then if usable w then Bitset.set c w else ok := false
+      done;
+      if !ok then Some c else None
+    in
+    let score ci =
+      let excess_in =
+        max 0 (ci.Isa.Custom_inst.inputs - constraints.Isa.Hw_model.max_inputs)
+      and excess_out =
+        max 0 (ci.Isa.Custom_inst.outputs - constraints.Isa.Hw_model.max_outputs)
+      in
+      (8 * Isa.Custom_inst.gain ci) - (params.io_penalty * (excess_in + excess_out))
+    in
+    let found : (string, Isa.Custom_inst.t) Hashtbl.t = Hashtbl.create 256 in
+    let evaluate set =
+      let ci = Isa.Custom_inst.make_unchecked dfg set in
+      (match Isa.Custom_inst.check ~constraints dfg set with
+       | Ok checked when Isa.Custom_inst.gain checked > 0 ->
+         let key = key_of_set set in
+         if not (Hashtbl.mem found key) then Hashtbl.add found key checked
+       | Ok _ | Error _ -> ());
+      ci
+    in
+    let walk start =
+      let cur = ref (Bitset.of_list n [ start ]) in
+      let cur_score = ref (score (evaluate !cur)) in
+      let moves = ref 0 in
+      let continue_ = ref true in
+      while !continue_ && !moves < params.max_moves && Engine.Guard.tick guard do
+        incr moves;
+        let best = ref None in
+        let consider set =
+          if not (Bitset.equal set !cur) then begin
+            let s = score (evaluate set) in
+            match !best with
+            | Some (bs, bk, _) when bs > s || (bs = s && bk <= key_of_set set) -> ()
+            | _ -> best := Some (s, key_of_set set, set)
+          end
+        in
+        if Bitset.cardinal !cur < params.max_size then
+          List.iter
+            (fun v ->
+              match hull !cur v with
+              | Some h when Bitset.cardinal h <= params.max_size -> consider h
+              | Some _ | None -> ())
+            (frontier dfg allowed !cur);
+        if Bitset.cardinal !cur > 1 then
+          Bitset.iter
+            (fun v ->
+              let sub = Bitset.copy !cur in
+              Bitset.clear sub v;
+              if Ir.Dfg.is_connected dfg sub && Ir.Dfg.is_convex dfg sub then
+                consider sub)
+            !cur;
+        match !best with
+        | Some (s, _, set) when s > !cur_score ->
+          cur := set;
+          cur_score := s
+        | Some _ | None -> continue_ := false
+      done
+    in
+    let seeds = List.filter usable (List.init n (fun i -> i)) in
+    let seeds =
+      if List.length seeds <= params.restarts then seeds
+      else begin
+        let arr = Array.of_list seeds in
+        Util.Prng.shuffle (Util.Prng.create params.seed) arr;
+        Array.to_list (Array.sub arr 0 params.restarts)
+      end
+    in
+    List.iter (fun s -> if Engine.Guard.tick guard then walk s) seeds;
+    let by_quality a b =
+      match compare (Isa.Custom_inst.gain b) (Isa.Custom_inst.gain a) with
+      | 0 ->
+        compare (key_of_set a.Isa.Custom_inst.nodes) (key_of_set b.Isa.Custom_inst.nodes)
+      | c -> c
+    in
+    let pool =
+      Hashtbl.fold (fun _ ci acc -> ci :: acc) found []
+      |> List.sort by_quality
+      |> List.filteri (fun i _ -> i < params.merge_pool)
+    in
+    List.iteri
+      (fun i a ->
+        List.iteri
+          (fun j b ->
+            if i < j && Engine.Guard.tick guard then begin
+              let u = Bitset.copy a.Isa.Custom_inst.nodes in
+              Bitset.union_into u b.Isa.Custom_inst.nodes;
+              if Bitset.cardinal u <= params.max_size && Ir.Dfg.is_connected dfg u
+              then begin
+                match Bitset.elements u with
+                | [] -> ()
+                | v :: _ ->
+                  let rest = Bitset.copy u in
+                  Bitset.clear rest v;
+                  (match hull (if Bitset.is_empty rest then u else rest) v with
+                   | Some h when Bitset.cardinal h <= params.max_size ->
+                     ignore (evaluate h)
+                   | Some _ | None -> ())
+              end
+            end)
+          pool)
+      pool;
+    Hashtbl.fold (fun _ ci acc -> ci :: acc) found [] |> List.sort by_quality
+end

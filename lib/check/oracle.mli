@@ -81,3 +81,32 @@ module Pareto_ref : sig
 
   val solve_at_cost : cost:int -> base:float -> Pareto.Mo_select.entity list -> float
 end
+
+(** Exhaustive identification and ISEGEN as they stood before word
+    bitsets, the bounded enumeration queue and the ancestor-closure
+    hull: string-keyed tables, [List.mem] frontiers, a hull that scans
+    every node.  Not brute-force oracles but the differential
+    references for {!Ise.Enumerate.connected_full} and
+    {!Ise.Isegen.generate}, which must return identical candidate
+    lists (order and every field), saturation and guard fuel use.  They
+    spend fuel like the production code and carry none of its trace,
+    telemetry or saturation logging. *)
+module Enumerate_ref : sig
+  val connected_full :
+    guard:Engine.Guard.t ->
+    constraints:Isa.Hw_model.constraints ->
+    budget:Ise.Enumerate.budget ->
+    ?allowed:Util.Bitset.t ->
+    Ir.Dfg.t ->
+    Isa.Custom_inst.t list * Ise.Enumerate.saturation option
+end
+
+module Isegen_ref : sig
+  val generate :
+    guard:Engine.Guard.t ->
+    constraints:Isa.Hw_model.constraints ->
+    params:Ise.Isegen.params ->
+    ?allowed:Util.Bitset.t ->
+    Ir.Dfg.t ->
+    Isa.Custom_inst.t list
+end

@@ -846,6 +846,96 @@ let auto_dispatch_consistent =
             (match saturation with None -> "exhaustive" | Some _ -> "isegen")
         else Pass) }
 
+(* Exhaustive enumeration and ISEGEN against their references
+   ({!Oracle.Enumerate_ref}, {!Oracle.Isegen_ref}): equal candidate
+   lists in order with every field, equal saturation and equal fuel
+   use.  The budgets are small enough that both caps saturate, some
+   runs restrict the search to an [allowed] subset and some run under
+   a fuel limit. *)
+let identification_matches_reference =
+  { name = "identification_matches_reference";
+    suite = "isegen";
+    run =
+      (fun inst ->
+        let dfg = Instance.dfg inst in
+        let n = Ir.Dfg.node_count dfg in
+        let constraints = Isa.Hw_model.default_constraints in
+        let prng = Util.Prng.create (Hashtbl.hash (inst.Instance.budget, inst.Instance.dfg)) in
+        let draw_allowed () =
+          if Util.Prng.bool prng then None
+          else
+            Some
+              (Util.Bitset.of_list n
+                 (List.filter (fun _ -> Util.Prng.int prng 4 > 0) (List.init n Fun.id)))
+        in
+        let guards () =
+          let fuel =
+            if Util.Prng.bool prng then None else Some (Util.Prng.in_range prng 1 300)
+          in
+          (Engine.Guard.create ?fuel (), Engine.Guard.create ?fuel ())
+        in
+        let same_list what got want =
+          if List.length got <> List.length want then
+            failf "%s: %d candidates, reference %d" what (List.length got)
+              (List.length want)
+          else
+            match
+              List.find_index (fun (a, b) -> a <> b) (List.combine got want)
+            with
+            | Some i -> failf "%s: candidate %d differs from the reference" what i
+            | None -> Pass
+        in
+        let same_fuel what g g_ref =
+          if Engine.Guard.used g = Engine.Guard.used g_ref then Pass
+          else
+            failf "%s: used %d fuel, reference %d" what (Engine.Guard.used g)
+              (Engine.Guard.used g_ref)
+        in
+        let sat_name = function
+          | None -> "none"
+          | Some s -> Ise.Enumerate.saturation_reason s
+        in
+        let enumerate () =
+          let budget =
+            { Ise.Enumerate.max_size = Util.Prng.in_range prng 1 (n + 1);
+              max_explored = Util.Prng.in_range prng 5 200;
+              max_candidates = Util.Prng.in_range prng 1 60 }
+          in
+          let allowed = draw_allowed () in
+          let g, g_ref = guards () in
+          let got, sat =
+            Ise.Enumerate.connected_full ~guard:g ~constraints ~budget ?allowed dfg
+          in
+          let want, sat_ref =
+            Oracle.Enumerate_ref.connected_full ~guard:g_ref ~constraints ~budget
+              ?allowed dfg
+          in
+          first_failure
+            [ same_list "enumeration" got want;
+              (if sat = sat_ref then Pass
+               else
+                 failf "enumeration saturation %s, reference %s" (sat_name sat)
+                   (sat_name sat_ref));
+              same_fuel "enumeration" g g_ref ]
+        in
+        let isegen () =
+          let params =
+            { (isegen_params_of inst) with
+              Ise.Isegen.max_size = Util.Prng.in_range prng 1 14;
+              restarts = Util.Prng.in_range prng 1 16;
+              merge_pool = Util.Prng.in_range prng 0 24 }
+          in
+          let allowed = draw_allowed () in
+          let g, g_ref = guards () in
+          let got = Ise.Isegen.generate ~guard:g ~constraints ~params ?allowed dfg in
+          let want =
+            Oracle.Isegen_ref.generate ~guard:g_ref ~constraints ~params ?allowed dfg
+          in
+          first_failure [ same_list "isegen" got want; same_fuel "isegen" g g_ref ]
+        in
+        first_failure (List.concat_map (fun _ -> [ enumerate (); isegen () ]) [ 1; 2; 3 ]))
+  }
+
 (* ---------------------------------------------------------------- *)
 (* engine                                                           *)
 (* ---------------------------------------------------------------- *)
@@ -1022,6 +1112,7 @@ let all =
     isegen_guard_anytime;
     hw_backend_area_monotone;
     auto_dispatch_consistent;
+    identification_matches_reference;
     cache_roundtrip_and_corruption;
     parallel_map_matches_sequential;
     pool_map_result_matches_sequential_fold ]

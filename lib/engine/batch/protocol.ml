@@ -59,6 +59,19 @@ let prepare req =
     key = key_of (trim req.op canonical);
     group = key_of { (trim req.op canonical) with Check.Instance.budget = 0 } }
 
+(* The inter-task workload view (as in Check.Prop): one entity per
+   task, delta = cycles saved, cost = area. *)
+let entities_of (i : Check.Instance.t) =
+  List.map
+    (fun (ts : Check.Instance.task_spec) ->
+      List.map
+        (fun (p : Check.Instance.curve_point) ->
+          { Pareto.Mo_select.delta = float_of_int (ts.base - p.cycles);
+            cost = p.area })
+        ts.points
+      |> Array.of_list)
+    i.Check.Instance.tasks
+
 let parse_request line =
   match R.parse line with
   | exception R.Parse_error msg -> Error msg
@@ -90,9 +103,18 @@ let parse_request line =
         | None, _ -> Error (Printf.sprintf "unknown op %S" opn)
         | _, Error msg -> Error msg
         | Some op, Ok generator ->
-          if Check.Instance.valid instance then
-            Ok { id; op; instance; generator }
-          else Error "instance violates a constructor precondition"))
+          if not (Check.Instance.valid instance) then
+            Error "instance violates a constructor precondition"
+          else if
+            op = Pareto_approx
+            && not
+                 (Pareto.Mo_select.approx_eps_supported ~eps:instance.Check.Instance.eps
+                    (entities_of instance))
+          then
+            Error
+              (Printf.sprintf "eps %g is too small: the approximation table would not fit"
+                 instance.Check.Instance.eps)
+          else Ok { id; op; instance; generator }))
 
 let request_line req =
   (* emitted only when it matters, so pre-generator corpora round-trip

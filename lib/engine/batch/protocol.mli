@@ -52,9 +52,14 @@ type prepared = {
 
 val prepare : request -> prepared
 
+val entities_of : Check.Instance.t -> Pareto.Mo_select.entity list
+(** The inter-task Pareto view of an instance: one entity per task,
+    one option per curve point (delta = cycles saved, cost = area). *)
+
 val parse_request : string -> (request, string) result
 (** Parse one JSONL line; [Error] carries the parse or validation
-    failure. *)
+    failure, including a [pareto_approx] [eps] too small for
+    {!Pareto.Mo_select.approx_front} to run. *)
 
 val request_line : request -> string
 (** Serialise a request to its JSONL line ([parse_request] inverts

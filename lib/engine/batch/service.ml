@@ -30,19 +30,6 @@ let pp_stats fmt s =
    the corpus expects stable curves. *)
 let curve_params = { Ise.Curve.small with Ise.Curve.sweep_points = 8 }
 
-(* The inter-task workload view (as in Check.Prop): one entity per
-   task, delta = cycles saved, cost = area. *)
-let entities_of (i : Check.Instance.t) =
-  List.map
-    (fun (ts : Check.Instance.task_spec) ->
-      List.map
-        (fun (p : Check.Instance.curve_point) ->
-          { Pareto.Mo_select.delta = float_of_int (ts.base - p.cycles);
-            cost = p.area })
-        ts.points
-      |> Array.of_list)
-    i.Check.Instance.tasks
-
 let base_of (i : Check.Instance.t) =
   Util.Numeric.sum_byf
     (fun (ts : Check.Instance.task_spec) -> float_of_int ts.base)
@@ -94,14 +81,15 @@ let payload ?spec ?(generator = Ise.Isegen.Exhaustive) op
   | Pareto_exact ->
     let guard = guard () in
     let front, st =
-      Pareto.Mo_select.exact_front_guarded ~guard ~base:(base_of ci) (entities_of ci)
+      Pareto.Mo_select.exact_front_guarded ~guard ~base:(base_of ci)
+        (Protocol.entities_of ci)
     in
     R.Obj [ status_field st; ("points", front_json front) ]
   | Pareto_approx ->
     let guard = guard () in
     let front =
       Pareto.Mo_select.approx_front ~guard ~eps:ci.Check.Instance.eps
-        ~base:(base_of ci) (entities_of ci)
+        ~base:(base_of ci) (Protocol.entities_of ci)
     in
     R.Obj [ status_field (Engine.Guard.status guard); ("points", front_json front) ]
   | Curve ->

@@ -13,7 +13,7 @@ let hw = ref Isa.Hw_model.uniform
    carry a schema tag; bump them (or Engine.Cache.format_version) when
    the stored value's meaning changes. *)
 let curve_ns = "curve"
-let cand_ns = "candidates"
+let cand_ns = "candidates.v2"
 
 let curve_table : (string, Isa.Config.t) Hashtbl.t = Hashtbl.create 32
 let candidate_table : (string, Ise.Select.candidate list) Hashtbl.t = Hashtbl.create 32

@@ -8,7 +8,9 @@ type t = {
   succs : node list array;
   live_out_marks : bool array;
   topo : node array;
-  reach : Bitset.t array lazy_t; (* reach.(v) = nodes reachable from v, v excluded *)
+  closures : (Bitset.t array * Bitset.t array) lazy_t;
+      (* (reach, anc): reach.(v) = nodes reachable from v, anc.(v) =
+         nodes that reach v, v excluded from both *)
 }
 
 module Builder = struct
@@ -66,19 +68,24 @@ module Builder = struct
     List.iter (fun v -> live_out_marks.(v) <- true) b.b_live_out;
     (* Node ids are already topological because edges only go forward. *)
     let topo = Array.init n (fun i -> i) in
-    let reach =
+    let closures =
       lazy
-        (let r = Array.init n (fun _ -> Bitset.create n) in
-         for i = n - 1 downto 0 do
+        (let close order adj =
+           let r = Array.init n (fun _ -> Bitset.create n) in
            List.iter
-             (fun w ->
-               Bitset.set r.(i) w;
-               Bitset.union_into r.(i) r.(w))
-             succs.(i)
-         done;
-         r)
+             (fun i ->
+               List.iter
+                 (fun w ->
+                   Bitset.set r.(i) w;
+                   Bitset.union_into r.(i) r.(w))
+                 adj.(i))
+             order;
+           r
+         in
+         let ids = List.init n (fun i -> i) in
+         (close (List.rev ids) succs, close ids preds))
     in
-    { kinds; preds; succs; live_out_marks; topo; reach }
+    { kinds; preds; succs; live_out_marks; topo; closures }
 end
 
 let node_count t = Array.length t.kinds
@@ -120,11 +127,12 @@ let output_count t set =
       if escapes then acc + 1 else acc)
     set 0
 
-let reachable_from t v = (Lazy.force t.reach).(v)
+let reachable_from t v = (fst (Lazy.force t.closures)).(v)
+let ancestors_of t v = (snd (Lazy.force t.closures)).(v)
 
 (* Convex iff no successor outside the set can reach back into it. *)
 let is_convex t set =
-  let reach = Lazy.force t.reach in
+  let reach = fst (Lazy.force t.closures) in
   let ok = ref true in
   Bitset.iter
     (fun v ->
@@ -154,22 +162,21 @@ let is_connected t set =
 let all_valid t set =
   Bitset.fold (fun v acc -> acc && valid_node t v) set true
 
+(* Node ids are topological, so ascending members are visited in
+   [topo] order. *)
 let critical_path t ~delay set =
-  let n = node_count t in
-  let finish = Array.make n 0. in
+  let finish = Array.make (node_count t) 0. in
   let best = ref 0. in
-  Array.iter
+  Bitset.iter
     (fun v ->
-      if Bitset.mem set v then begin
-        let start =
-          List.fold_left
-            (fun acc p -> if Bitset.mem set p then Float.max acc finish.(p) else acc)
-            0. t.preds.(v)
-        in
-        finish.(v) <- start +. delay t.kinds.(v);
-        best := Float.max !best finish.(v)
-      end)
-    t.topo;
+      let start =
+        List.fold_left
+          (fun acc p -> if Bitset.mem set p then Float.max acc finish.(p) else acc)
+          0. t.preds.(v)
+      in
+      finish.(v) <- start +. delay t.kinds.(v);
+      best := Float.max !best finish.(v))
+    set;
   !best
 
 let pp_stats fmt t =

@@ -95,4 +95,9 @@ val critical_path : t -> delay:(Op.kind -> float) -> Util.Bitset.t -> float
 val reachable_from : t -> node -> Util.Bitset.t
 (** All nodes reachable by one or more edges (cached; do not mutate). *)
 
+val ancestors_of : t -> node -> Util.Bitset.t
+(** All nodes that reach the node by one or more edges (cached with
+    {!reachable_from}, built on the first call of either; do not
+    mutate). *)
+
 val pp_stats : Format.formatter -> t -> unit

@@ -41,6 +41,13 @@ let check ?(constraints = Hw_model.default_constraints) dfg nodes =
         Error (Too_many_outputs outputs)
       else Ok (make_unchecked dfg nodes)
 
+let admissible ?(constraints = Hw_model.default_constraints) dfg ci =
+  ci.inputs <= constraints.Hw_model.max_inputs
+  && ci.outputs <= constraints.Hw_model.max_outputs
+  && (not (Bitset.is_empty ci.nodes))
+  && Ir.Dfg.all_valid dfg ci.nodes
+  && Ir.Dfg.is_convex dfg ci.nodes
+
 let pp_rejection fmt = function
   | Invalid_operation -> Format.pp_print_string fmt "contains an invalid operation"
   | Not_convex -> Format.pp_print_string fmt "not convex"

@@ -38,6 +38,11 @@ val make_unchecked : Ir.Dfg.t -> Util.Bitset.t -> t
     that maintain the invariants themselves, e.g. MLGP coarse vertices
     during refinement). *)
 
+val admissible : ?constraints:Hw_model.constraints -> Ir.Dfg.t -> t -> bool
+(** [admissible dfg (make_unchecked dfg nodes)] holds exactly when
+    [check dfg nodes] is [Ok] — for callers that evaluate every set
+    anyway and must not evaluate it twice. *)
+
 val feasible :
   ?constraints:Hw_model.constraints -> Ir.Dfg.t -> Util.Bitset.t -> bool
 

@@ -5,25 +5,28 @@ type budget = { max_size : int; max_explored : int; max_candidates : int }
 let default_budget = { max_size = 14; max_explored = 60_000; max_candidates = 4_000 }
 let small_budget = { max_size = 8; max_explored = 6_000; max_candidates = 400 }
 
-let key_of_set set = String.concat "," (List.map string_of_int (Bitset.elements set))
-
 (* Valid neighbours (preds and succs) of the members, excluding members
-   and nodes outside [allowed]. *)
-let frontier dfg allowed set =
+   and nodes outside [allowed], most recently discovered first.  [mark]
+   is an all-clear scratch set of the DFG's capacity, left clear. *)
+let frontier dfg allowed ~mark set =
   let out = ref [] in
   let consider v =
     if
       Ir.Dfg.valid_node dfg v
       && (not (Bitset.mem set v))
       && Bitset.mem allowed v
-      && not (List.mem v !out)
-    then out := v :: !out
+      && not (Bitset.mem mark v)
+    then begin
+      Bitset.set mark v;
+      out := v :: !out
+    end
   in
   Bitset.iter
     (fun v ->
       List.iter consider (Ir.Dfg.preds dfg v);
       List.iter consider (Ir.Dfg.succs dfg v))
     set;
+  List.iter (Bitset.clear mark) !out;
   !out
 
 type saturation = Cap_candidates | Cap_explored
@@ -76,20 +79,31 @@ let connected_full ?guard ?(constraints = Isa.Hw_model.default_constraints)
   in
   let seen = Hashtbl.create 1024 in
   let queue = Queue.create () in
-  let push set =
-    let key = key_of_set set in
-    if not (Hashtbl.mem seen key) then begin
-      Hashtbl.add seen key ();
-      Queue.push set queue
-    end
-  in
-  for v = 0 to n - 1 do
-    if Ir.Dfg.valid_node dfg v && Bitset.mem allowed v then
-      push (Bitset.of_list n [ v ])
-  done;
   let results = ref [] in
   let emitted = ref 0 in
   let explored = ref 0 in
+  (* [explored + Queue.length queue] never decreases, so once it reaches
+     [max_explored] no set queued from then on can ever be popped: such
+     sets are dropped instead of queued, and the first drop stops all
+     further growing.  [dropped] stands in for the never-popped sets in
+     the saturation verdict, so results, order and verdict are those of
+     the unbounded queue. *)
+  let dropped = ref false in
+  (* [key] is unseen; [grow] builds its set *)
+  let offer key grow =
+    if !explored + Queue.length queue >= budget.max_explored then dropped := true
+    else begin
+      Hashtbl.add seen key ();
+      Queue.push (grow ()) queue
+    end
+  in
+  for v = 0 to n - 1 do
+    if Ir.Dfg.valid_node dfg v && Bitset.mem allowed v then begin
+      let set = Bitset.of_list n [ v ] in
+      offer (Bitset.to_key set) (fun () -> set)
+    end
+  done;
+  let mark = Bitset.create n in
   (* one fuel unit per expansion — the same granularity as
      [budget.max_explored], but shared across calls when the caller
      passes one guard for a whole sweep *)
@@ -106,13 +120,21 @@ let connected_full ?guard ?(constraints = Isa.Hw_model.default_constraints)
        incr emitted;
        results := ci :: !results
      | Ok _ | Error _ -> ());
-    if Bitset.cardinal set < budget.max_size then
+    if (not !dropped) && Bitset.cardinal set < budget.max_size then
       List.iter
         (fun v ->
-          let grown = Bitset.copy set in
-          Bitset.set grown v;
-          push grown)
-        (frontier dfg allowed set)
+          if not !dropped then begin
+            (* probe with [v] set in place; copy only an unseen set *)
+            Bitset.set set v;
+            let key = Bitset.to_key set in
+            Bitset.clear set v;
+            if not (Hashtbl.mem seen key) then
+              offer key (fun () ->
+                  let grown = Bitset.copy set in
+                  Bitset.set grown v;
+                  grown)
+          end)
+        (frontier dfg allowed ~mark set)
   done;
   Engine.Telemetry.add "enumerate.explored" !explored;
   Engine.Telemetry.add "enumerate.candidates" !emitted;
@@ -120,7 +142,8 @@ let connected_full ?guard ?(constraints = Isa.Hw_model.default_constraints)
     (float_of_int !emitted);
   let saturation =
     if !emitted >= budget.max_candidates then Some Cap_candidates
-    else if (not (Queue.is_empty queue)) && !explored >= budget.max_explored
+    else if
+      ((not (Queue.is_empty queue)) || !dropped) && !explored >= budget.max_explored
     then Some Cap_explored
     else None
   in
@@ -167,7 +190,7 @@ let max_miso ?(constraints = Isa.Hw_model.default_constraints) dfg =
         if !added then grow ()
       in
       grow ();
-      let key = key_of_set set in
+      let key = Bitset.to_key set in
       if not (Hashtbl.mem seen key) then begin
         Hashtbl.add seen key ();
         match Isa.Custom_inst.check ~constraints dfg set with

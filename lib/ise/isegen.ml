@@ -35,27 +35,27 @@ let params_key p =
   Printf.sprintf "%d:%d:%d:%d:%d:%d" p.seed p.restarts p.max_moves p.max_size
     p.io_penalty p.merge_pool
 
+(* The decimal node list: its string order breaks ties between equal
+   scores and equal gains. *)
 let key_of_set set = String.concat "," (List.map string_of_int (Bitset.elements set))
 
 (* Valid neighbours (preds and succs) of the members, excluding members
    and nodes outside [allowed] — the grow frontier, in ascending node
-   order for determinism. *)
-let frontier dfg allowed set =
-  let out = ref [] in
-  let consider v =
-    if
-      Ir.Dfg.valid_node dfg v
-      && (not (Bitset.mem set v))
-      && Bitset.mem allowed v
-      && not (List.mem v !out)
-    then out := v :: !out
-  in
+   order for determinism.  [mark] is an all-clear scratch set of the
+   DFG's capacity, left clear. *)
+let frontier dfg allowed ~mark set =
   Bitset.iter
     (fun v ->
+      let consider w =
+        if Ir.Dfg.valid_node dfg w && (not (Bitset.mem set w)) && Bitset.mem allowed w
+        then Bitset.set mark w
+      in
       List.iter consider (Ir.Dfg.preds dfg v);
       List.iter consider (Ir.Dfg.succs dfg v))
     set;
-  List.sort compare !out
+  let out = Bitset.elements mark in
+  List.iter (Bitset.clear mark) out;
+  out
 
 let generate ?guard ?(constraints = Isa.Hw_model.default_constraints)
     ?(params = default_params) ?allowed dfg =
@@ -69,26 +69,31 @@ let generate ?guard ?(constraints = Isa.Hw_model.default_constraints)
     | Some a -> a
     | None -> Bitset.of_list n (List.init n (fun i -> i))
   in
-  let usable v = Ir.Dfg.valid_node dfg v && Bitset.mem allowed v in
+  let usable = Bitset.create n in
+  for v = 0 to n - 1 do
+    if Ir.Dfg.valid_node dfg v && Bitset.mem allowed v then Bitset.set usable v
+  done;
   (* Convex hull of [set + v] in one shot: reachability is transitive,
      so the repair set is exactly the nodes lying on some path between
-     two members — descendants of the set that are also ancestors of
-     it.  Returns [None] when the hull needs a node the caller may not
-     use (invalid operation or outside [allowed]). *)
+     two members — descendants of the set that are also its ancestors.
+     Returns [None] when the hull needs a node the caller may not use
+     (invalid operation or outside [allowed]). *)
   let hull set v =
     let c = Bitset.copy set in
     Bitset.set c v;
-    let desc = Bitset.create n in
-    Bitset.iter (fun a -> Bitset.union_into desc (Ir.Dfg.reachable_from dfg a)) c;
-    let ok = ref true in
-    for w = 0 to n - 1 do
-      if
-        !ok && (not (Bitset.mem c w))
-        && Bitset.mem desc w
-        && Bitset.intersects (Ir.Dfg.reachable_from dfg w) c
-      then if usable w then Bitset.set c w else ok := false
-    done;
-    if !ok then Some c else None
+    let desc = Bitset.create n and anc = Bitset.create n in
+    Bitset.iter
+      (fun a ->
+        Bitset.union_into desc (Ir.Dfg.reachable_from dfg a);
+        Bitset.union_into anc (Ir.Dfg.ancestors_of dfg a))
+      c;
+    Bitset.inter_into desc anc;
+    Bitset.diff_into desc c;
+    if Bitset.subset desc usable then begin
+      Bitset.union_into c desc;
+      Some c
+    end
+    else None
   in
   (* ISEGEN-style merit: cycle gain first, with a soft penalty per
      excess register port so a walk may cross a mildly I/O-infeasible
@@ -102,18 +107,23 @@ let generate ?guard ?(constraints = Isa.Hw_model.default_constraints)
     (8 * Isa.Custom_inst.gain ci) - (params.io_penalty * (excess_in + excess_out))
   in
   let found : (string, Isa.Custom_inst.t) Hashtbl.t = Hashtbl.create 256 in
+  (* Evaluate [set] once, recording it when it is a new feasible
+     positive-gain candidate. *)
   let evaluate set =
     let ci = Isa.Custom_inst.make_unchecked dfg set in
-    (match Isa.Custom_inst.check ~constraints dfg set with
-     | Ok checked when Isa.Custom_inst.gain checked > 0 ->
-       let key = key_of_set set in
-       if not (Hashtbl.mem found key) then Hashtbl.add found key checked
-     | Ok _ | Error _ -> ());
+    if Isa.Custom_inst.gain ci > 0 then begin
+      let key = Bitset.to_key set in
+      if
+        (not (Hashtbl.mem found key)) && Isa.Custom_inst.admissible ~constraints dfg ci
+      then Hashtbl.add found key ci
+    end;
     ci
   in
+  let mark = Bitset.create n in
   (* One hill-climbing walk: evaluate the full grow/shrink
      neighbourhood each step (every evaluation also records a feasible
-     candidate), move to the strictly best-scoring neighbour. *)
+     candidate), move to the strictly best-scoring neighbour; equal
+     scores go to the smaller [key_of_set]. *)
   let walk start =
     let cur = ref (Bitset.of_list n [ start ]) in
     let cur_score = ref (score (evaluate !cur)) in
@@ -126,8 +136,9 @@ let generate ?guard ?(constraints = Isa.Hw_model.default_constraints)
         if not (Bitset.equal set !cur) then begin
           let s = score (evaluate set) in
           match !best with
-          | Some (bs, bk, _) when bs > s || (bs = s && bk <= key_of_set set) -> ()
-          | _ -> best := Some (s, key_of_set set, set)
+          | Some (bs, bset)
+            when bs > s || (bs = s && key_of_set bset <= key_of_set set) -> ()
+          | _ -> best := Some (s, set)
         end
       in
       if Bitset.cardinal !cur < params.max_size then
@@ -136,7 +147,7 @@ let generate ?guard ?(constraints = Isa.Hw_model.default_constraints)
             match hull !cur v with
             | Some h when Bitset.cardinal h <= params.max_size -> consider h
             | Some _ | None -> ())
-          (frontier dfg allowed !cur);
+          (frontier dfg allowed ~mark !cur);
       if Bitset.cardinal !cur > 1 then
         Bitset.iter
           (fun v ->
@@ -146,13 +157,13 @@ let generate ?guard ?(constraints = Isa.Hw_model.default_constraints)
               consider sub)
           !cur;
       match !best with
-      | Some (s, _, set) when s > !cur_score ->
+      | Some (s, set) when s > !cur_score ->
         cur := set;
         cur_score := s
       | Some _ | None -> continue_ := false
     done
   in
-  let seeds = List.filter usable (List.init n (fun i -> i)) in
+  let seeds = Bitset.elements usable in
   let seeds =
     if List.length seeds <= params.restarts then seeds
     else begin

@@ -218,15 +218,21 @@ let sobel () =
   in
   { name = "sobel"; code = calibrated ~target:21_000_000 body }
 
-let all () =
-  List.map
-    (fun cfg -> (cfg.name, cfg))
-    [ adpcm_enc (); adpcm_dec (); sha (); jfdctint (); g721_enc (); g721_dec ();
-      lms (); ndes (); rijndael (); des3 (); aes (); blowfish (); crc32 ();
-      jpeg_enc (); jpeg_dec (); compress (); susan (); md5 (); edn ();
-      fft (); viterbi (); sobel () ]
+(* Benchmark name -> builder, in the order [all] lists them.  [find]
+   builds only the kernel asked for; nothing is cached, so no CFG (and
+   no DFG closure) is shared between callers or domains. *)
+let table =
+  [ ("adpcm_enc", adpcm_enc); ("adpcm_dec", adpcm_dec); ("sha", sha);
+    ("jfdctint", jfdctint); ("g721encode", g721_enc); ("g721decode", g721_dec);
+    ("lms", lms); ("ndes", ndes); ("rijndael", rijndael); ("3des", des3);
+    ("aes", aes); ("blowfish", blowfish); ("crc32", crc32);
+    ("jpeg_enc", jpeg_enc); ("jpeg_dec", jpeg_dec); ("compress", compress);
+    ("susan", susan); ("md5", md5); ("edn", edn); ("fft", fft);
+    ("viterbi", viterbi); ("sobel", sobel) ]
 
-let find_opt name = List.assoc_opt name (all ())
+let all () = List.map (fun (name, build) -> (name, build ())) table
+
+let find_opt name = Option.map (fun build -> build ()) (List.assoc_opt name table)
 
 let find name =
   match find_opt name with

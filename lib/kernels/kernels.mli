@@ -34,10 +34,11 @@ val viterbi : unit -> Ir.Cfg.t
 val sobel : unit -> Ir.Cfg.t
 
 val all : unit -> (string * Ir.Cfg.t) list
-(** Every kernel, keyed by its benchmark name (e.g. ["sha"],
-    ["g721decode"], ["3des"]). *)
+(** Every kernel, freshly built, keyed by its benchmark name (e.g.
+    ["sha"], ["g721decode"], ["3des"]). *)
 
 val find_opt : string -> Ir.Cfg.t option
+(** Builds only the named kernel, afresh on every call. *)
 
 val find : string -> Ir.Cfg.t
 (** Raises [Not_found] for unknown names; prefer {!find_opt}. *)

@@ -194,6 +194,15 @@ let gap ~eps ~cost_bound ~value_bound ~base entities =
     !found
   end
 
+(* The scaled DP's width r = ⌈n/ε'⌉ with ε' = √(1+ε) − 1, as a float so
+   that a width past any array length still compares. *)
+let approx_width ~eps entities =
+  let n = max 1 (count_options (List.map with_zero_option entities)) in
+  ceil (float_of_int n /. (sqrt (1. +. eps) -. 1.))
+
+let approx_eps_supported ~eps entities =
+  eps > 0. && approx_width ~eps entities < float_of_int Sys.max_array_length
+
 let approx_front ?guard ~eps ~base entities =
   if eps <= 0. then invalid_arg "Mo_select.approx_front: eps must be positive";
   Engine.Trace.with_span "pareto.approx" @@ fun () ->
@@ -201,12 +210,11 @@ let approx_front ?guard ~eps ~base entities =
     match guard with Some g -> g | None -> Engine.Guard.default ()
   in
   let entities = normalise entities in
+  if not (approx_eps_supported ~eps entities) then
+    invalid_arg "Mo_select.approx_front: eps too small";
   let eps' = sqrt (1. +. eps) -. 1. in
   let n = max 1 (count_options entities) in
-  let r_float = ceil (float_of_int n /. eps') in
-  if not (r_float < float_of_int Sys.max_array_length) then
-    invalid_arg "Mo_select.approx_front: eps too small";
-  let r = int_of_float r_float in
+  let r = int_of_float (approx_width ~eps entities) in
   let row_fuel = List.length entities * (1 + r) in
   let max_cost =
     List.fold_left

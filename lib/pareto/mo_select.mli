@@ -81,6 +81,12 @@ val approx_front :
     [Invalid_argument] when [eps] is not positive or so small that [r]
     is not a valid array length. *)
 
+val approx_eps_supported : eps:float -> entity list -> bool
+(** [eps] is positive and large enough that {!approx_front}'s DP width
+    [r] is a valid array length — the test behind [approx_front]'s own
+    [Invalid_argument] on [eps].  Request parsers use it to refuse such
+    an [eps] as a per-request error. *)
+
 val solve_at_cost : cost:int -> base:float -> entity list -> float
 (** Minimum achievable value within a cost budget (exact DP restricted to
     one budget) — a convenience for single-budget queries. *)

@@ -1,83 +1,97 @@
-type t = { words : Bytes.t; capacity : int }
+(* Word [i / bits] holds elements [i / bits * bits, +bits); bit [i mod
+   bits] is element [i].  Bits past [capacity] stay clear, so equal
+   sets have equal words. *)
+type t = { words : int array; capacity : int }
 
-let words_for cap = (cap + 7) / 8
+(* every bit of a native int on a 64-bit host *)
+let bits = 63
+
+let words_for cap = (cap + bits - 1) / bits
 
 let create capacity =
   assert (capacity >= 0);
-  { words = Bytes.make (words_for capacity) '\000'; capacity }
+  { words = Array.make (words_for capacity) 0; capacity }
 
 let capacity t = t.capacity
 
-let copy t = { words = Bytes.copy t.words; capacity = t.capacity }
+let copy t = { words = Array.copy t.words; capacity = t.capacity }
 
 let check t i = assert (i >= 0 && i < t.capacity)
 
 let set t i =
   check t i;
-  let b = Char.code (Bytes.get t.words (i lsr 3)) in
-  Bytes.set t.words (i lsr 3) (Char.chr (b lor (1 lsl (i land 7))))
+  let w = i / bits in
+  Array.unsafe_set t.words w (Array.unsafe_get t.words w lor (1 lsl (i mod bits)))
 
 let clear t i =
   check t i;
-  let b = Char.code (Bytes.get t.words (i lsr 3)) in
-  Bytes.set t.words (i lsr 3) (Char.chr (b land lnot (1 lsl (i land 7)) land 0xff))
+  let w = i / bits in
+  Array.unsafe_set t.words w
+    (Array.unsafe_get t.words w land lnot (1 lsl (i mod bits)))
 
 let mem t i =
   check t i;
-  Char.code (Bytes.get t.words (i lsr 3)) land (1 lsl (i land 7)) <> 0
+  Array.unsafe_get t.words (i / bits) land (1 lsl (i mod bits)) <> 0
 
-let popcount_byte =
-  let table = Array.make 256 0 in
-  for i = 1 to 255 do
-    table.(i) <- table.(i lsr 1) + (i land 1)
-  done;
-  fun c -> table.(Char.code c)
+let rec popcount w = if w = 0 then 0 else 1 + popcount (w land (w - 1))
 
-let cardinal t =
-  let n = ref 0 in
-  Bytes.iter (fun c -> n := !n + popcount_byte c) t.words;
-  !n
+let cardinal t = Array.fold_left (fun n w -> n + popcount w) 0 t.words
 
-let is_empty t =
-  let result = ref true in
-  Bytes.iter (fun c -> if c <> '\000' then result := false) t.words;
-  !result
+let is_empty t = Array.for_all (fun w -> w = 0) t.words
 
 let binop f dst src =
   assert (dst.capacity = src.capacity);
-  for i = 0 to Bytes.length dst.words - 1 do
-    let a = Char.code (Bytes.get dst.words i)
-    and b = Char.code (Bytes.get src.words i) in
-    Bytes.set dst.words i (Char.chr (f a b land 0xff))
+  let d = dst.words and s = src.words in
+  for i = 0 to Array.length d - 1 do
+    Array.unsafe_set d i (f (Array.unsafe_get d i) (Array.unsafe_get s i))
   done
 
 let union_into dst src = binop ( lor ) dst src
 let inter_into dst src = binop ( land ) dst src
 let diff_into dst src = binop (fun a b -> a land lnot b) dst src
 
+(* The three scans below stop at the first word that decides. *)
 let intersects a b =
   assert (a.capacity = b.capacity);
-  let hit = ref false in
-  for i = 0 to Bytes.length a.words - 1 do
-    if Char.code (Bytes.get a.words i) land Char.code (Bytes.get b.words i) <> 0 then
-      hit := true
+  let x = a.words and y = b.words in
+  let len = Array.length x in
+  let i = ref 0 in
+  while !i < len && Array.unsafe_get x !i land Array.unsafe_get y !i = 0 do
+    incr i
   done;
-  !hit
+  !i < len
 
 let subset a b =
   assert (a.capacity = b.capacity);
-  let ok = ref true in
-  for i = 0 to Bytes.length a.words - 1 do
-    let x = Char.code (Bytes.get a.words i) and y = Char.code (Bytes.get b.words i) in
-    if x land lnot y <> 0 then ok := false
+  let x = a.words and y = b.words in
+  let len = Array.length x in
+  let i = ref 0 in
+  while !i < len && Array.unsafe_get x !i land lnot (Array.unsafe_get y !i) = 0 do
+    incr i
   done;
-  !ok
+  !i = len
 
-let equal a b = a.capacity = b.capacity && Bytes.equal a.words b.words
+let equal a b =
+  a.capacity = b.capacity
+  &&
+  let x = a.words and y = b.words in
+  let len = Array.length x in
+  let i = ref 0 in
+  while !i < len && Array.unsafe_get x !i = Array.unsafe_get y !i do
+    incr i
+  done;
+  !i = len
 
 let iter f t =
-  for i = 0 to t.capacity - 1 do
-    if mem t i then f i
+  let words = t.words in
+  for wi = 0 to Array.length words - 1 do
+    (* [lsr] is logical, so the top bit shifts down like any other *)
+    let w = ref (Array.unsafe_get words wi) and i = ref (wi * bits) in
+    while !w <> 0 do
+      if !w land 1 <> 0 then f !i;
+      w := !w lsr 1;
+      incr i
+    done
   done
 
 let fold f t init =
@@ -91,3 +105,8 @@ let of_list capacity elts =
   let t = create capacity in
   List.iter (set t) elts;
   t
+
+let to_key t =
+  let b = Bytes.create (8 * Array.length t.words) in
+  Array.iteri (fun i w -> Bytes.set_int64_le b (8 * i) (Int64.of_int w)) t.words;
+  Bytes.unsafe_to_string b

@@ -2,7 +2,9 @@
 
     Used for dense node-set operations on data-flow graphs (convexity
     checks, reachability closures) where lists and hash sets are too
-    slow. *)
+    slow.  Elements are packed 63 to a native-int word; the scans
+    ([intersects], [subset], [equal]) stop at the first deciding word
+    and [iter] skips empty words. *)
 
 type t
 
@@ -34,7 +36,13 @@ val subset : t -> t -> bool
 
 val equal : t -> t -> bool
 val iter : (int -> unit) -> t -> unit
+(** Ascending order, as are [fold] and [elements]. *)
+
 val fold : (int -> 'a -> 'a) -> t -> 'a -> 'a
 val elements : t -> int list
 val of_list : int -> int list -> t
 (** [of_list capacity elts]. *)
+
+val to_key : t -> string
+(** The raw words as a string: equal for equal sets, distinct for
+    distinct sets of the same capacity — a cheap hash-table key. *)

@@ -220,6 +220,53 @@ let test_curve_speedup_in_published_range () =
   let gain_pct = (base -. best) /. base *. 100. in
   check bool "gain between 1% and 50%" true (gain_pct > 1. && gain_pct < 50.)
 
+(* ------------------------------------------------------------------ *)
+(* Kernel table                                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* A printable structure of a CFG: statements, labels, and per node
+   its operation, operands and live-out mark.  (The DFG's lazy
+   closures rule out polymorphic equality.) *)
+let rec cfg_shape (s : Ir.Cfg.stmt) =
+  match s with
+  | Block b ->
+    let d = b.body in
+    let node v =
+      Printf.sprintf "%s<%s%s"
+        (Ir.Op.name (Ir.Dfg.kind d v))
+        (String.concat "," (List.map string_of_int (Ir.Dfg.preds d v)))
+        (if Ir.Dfg.live_out d v then "!" else "")
+    in
+    Printf.sprintf "%s{%s}" b.label (String.concat " " (List.map node (Ir.Dfg.nodes d)))
+  | Seq l -> "[" ^ String.concat ";" (List.map cfg_shape l) ^ "]"
+  | If (c, t, e) ->
+    Printf.sprintf "if %s then %s else %s" (cfg_shape (Block c)) (cfg_shape t)
+      (cfg_shape e)
+  | Loop (k, body) -> Printf.sprintf "loop %d %s" k (cfg_shape body)
+
+let test_kernel_table () =
+  let names =
+    [ "adpcm_enc"; "adpcm_dec"; "sha"; "jfdctint"; "g721encode"; "g721decode";
+      "lms"; "ndes"; "rijndael"; "3des"; "aes"; "blowfish"; "crc32"; "jpeg_enc";
+      "jpeg_dec"; "compress"; "susan"; "md5"; "edn"; "fft"; "viterbi"; "sobel" ]
+  in
+  let all = Kernels.all () in
+  check (Alcotest.list Alcotest.string) "all () names, in order" names
+    (List.map fst all);
+  List.iter
+    (fun (name, (cfg : Ir.Cfg.t)) ->
+      check Alcotest.string "all () entry named by its key" name cfg.name;
+      match Kernels.find_opt name with
+      | Some built -> check Alcotest.string "find_opt builds its key" name built.name
+      | None -> Alcotest.failf "find_opt %S is None" name)
+    all;
+  check bool "unknown name" true (Kernels.find_opt "nope" = None);
+  List.iter
+    (fun name ->
+      check bool (name ^ ": two builds are equal") true
+        (cfg_shape (Kernels.find name).code = cfg_shape (Kernels.find name).code))
+    [ "sha"; "3des"; "g721encode"; "g721decode" ]
+
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "ise"
@@ -240,4 +287,6 @@ let () =
           qt prop_selection_no_conflicts ] );
       ( "curve",
         [ Alcotest.test_case "lms curve" `Quick test_curve_generation_lms;
-          Alcotest.test_case "g721 speedup in range" `Quick test_curve_speedup_in_published_range ] ) ]
+          Alcotest.test_case "g721 speedup in range" `Quick test_curve_speedup_in_published_range ] );
+      ( "kernels",
+        [ Alcotest.test_case "table builds each kernel by name" `Quick test_kernel_table ] ) ]

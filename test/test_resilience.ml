@@ -171,6 +171,36 @@ let test_tiny_eps_approx_is_partial () =
        = Some (R.Arr [ R.Obj [ ("cost", R.Num 0.); ("value", R.Num 90.) ] ]))
   | _ -> Alcotest.failf "answer is not an object: %s" answer
 
+(* The golden g08 Pareto request with eps = 1e-300 makes the FPTAS
+   table wider than any array.  It must come back as a per-line parse
+   error, decided by the same predicate as the solver's own guard, and
+   must not stop the golden edf line beside it from being answered. *)
+let test_unsupported_eps_is_a_line_error () =
+  let edf =
+    {|{"id": "g00", "op": "edf", "instance": {"budget": 0, "eps": 0.5, "tasks": [{"period": 100, "base": 50, "points": [{"area": 5, "cycles": 30}, {"area": 10, "cycles": 20}]}, {"period": 80, "base": 40, "points": [{"area": 4, "cycles": 25}]}], "dfg": {"kinds": [], "edges": [], "live_outs": []}}}|}
+  and approx =
+    {|{"id": "g08", "op": "pareto_approx", "instance": {"budget": 10, "eps": 1e-300, "tasks": [{"period": 100, "base": 50, "points": [{"area": 5, "cycles": 30}, {"area": 10, "cycles": 20}]}, {"period": 80, "base": 40, "points": [{"area": 4, "cycles": 25}]}], "dfg": {"kinds": [], "edges": [], "live_outs": []}}}|}
+  in
+  let parsed = List.map Batch.Protocol.parse_request [ edf; approx ] in
+  let oks = List.filter_map Result.to_option parsed in
+  check Alcotest.int "one line parses" 1 (List.length oks);
+  (match List.nth parsed 1 with
+   | Error msg ->
+     check bool "error names eps" true (String.starts_with ~prefix:"eps" msg)
+   | Ok _ -> Alcotest.fail "eps = 1e-300 accepted");
+  let entities =
+    Batch.Protocol.entities_of (Result.get_ok (List.hd parsed)).Batch.Protocol.instance
+  in
+  check bool "the solver refuses the same eps" true
+    (match Pareto.Mo_select.approx_front ~eps:1e-300 ~base:90. entities with
+     | exception Invalid_argument _ -> true
+     | _ -> false);
+  check bool "predicate accepts the golden eps" true
+    (Pareto.Mo_select.approx_eps_supported ~eps:0.3 entities);
+  let lines, _ = Batch.Service.run oks in
+  check (Alcotest.list Alcotest.string) "the edf line is answered"
+    (List.map Batch.Service.respond oks) lines
+
 let test_guarded_enumeration_is_prefix () =
   match Kernels.find_opt "adpcm_enc" with
   | None -> Alcotest.fail "adpcm_enc kernel missing"
@@ -411,6 +441,8 @@ let () =
             test_guarded_pareto_front_is_achievable;
           Alcotest.test_case "tiny-eps Pareto approx stops under fuel" `Quick
             test_tiny_eps_approx_is_partial;
+          Alcotest.test_case "unsupported eps is a per-line error" `Quick
+            test_unsupported_eps_is_a_line_error;
           Alcotest.test_case "guarded enumeration is a prefix" `Quick
             test_guarded_enumeration_is_prefix ] );
       ( "fault",

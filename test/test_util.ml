@@ -119,6 +119,77 @@ let prop_bitset_roundtrip =
       let dedup = List.sort_uniq compare l in
       Util.Bitset.elements (Util.Bitset.of_list 64 l) = dedup)
 
+(* Model-based: every operation against a sorted int list, at
+   capacities on both sides of the 63-bit word boundaries. *)
+let bitset_capacities = [| 0; 1; 61; 62; 63; 64; 125; 519 |]
+
+let prop_bitset_model =
+  let module B = Util.Bitset in
+  QCheck.Test.make ~name:"bitset agrees with a sorted-list model" ~count:500
+    QCheck.(
+      triple (int_bound 7) (list (pair bool (int_bound 1000))) (list (int_bound 1000)))
+    (fun (ci, ops, other) ->
+      let cap = bitset_capacities.(ci) in
+      let elts l = if cap = 0 then [] else List.map (fun x -> x mod cap) l in
+      let ops = if cap = 0 then [] else List.map (fun (add, x) -> (add, x mod cap)) ops in
+      let a = B.create cap in
+      let model =
+        List.fold_left
+          (fun m (add, x) ->
+            if add then begin
+              B.set a x;
+              List.sort_uniq compare (x :: m)
+            end
+            else begin
+              B.clear a x;
+              List.filter (( <> ) x) m
+            end)
+          [] ops
+      in
+      let other = List.sort_uniq compare (elts other) in
+      let b = B.of_list cap other in
+      let union = List.sort_uniq compare (model @ other)
+      and inter = List.filter (fun x -> List.mem x other) model
+      and diff = List.filter (fun x -> not (List.mem x other)) model in
+      let into f =
+        let c = B.copy a in
+        f c b;
+        B.elements c
+      in
+      let iterated =
+        let acc = ref [] in
+        B.iter (fun x -> acc := x :: !acc) a;
+        List.rev !acc
+      in
+      let all = List.init cap Fun.id in
+      (* flipping any one element changes the key *)
+      let key_injective =
+        List.for_all
+          (fun x ->
+            let c = B.copy a in
+            if B.mem c x then B.clear c x else B.set c x;
+            B.to_key c <> B.to_key a && not (B.equal c a))
+          all
+      in
+      B.capacity a = cap
+      && B.elements a = model
+      && iterated = model
+      && B.fold (fun x acc -> x :: acc) a [] = List.rev model
+      && List.for_all (fun x -> B.mem a x = List.mem x model) all
+      && B.cardinal a = List.length model
+      && B.is_empty a = (model = [])
+      && into B.union_into = union
+      && into B.inter_into = inter
+      && into B.diff_into = diff
+      && B.elements a = model
+      && B.intersects a b = (inter <> [])
+      && B.subset a b = (diff = [])
+      && B.subset b a = List.for_all (fun x -> List.mem x model) other
+      && B.equal a b = (model = other)
+      && (B.to_key a = B.to_key b) = (model = other)
+      && B.to_key (B.of_list cap model) = B.to_key a
+      && key_injective)
+
 (* ------------------------------------------------------------------ *)
 (* Pareto front                                                       *)
 (* ------------------------------------------------------------------ *)
@@ -229,7 +300,8 @@ let () =
         [ Alcotest.test_case "basic" `Quick test_bitset_basic;
           Alcotest.test_case "set operations" `Quick test_bitset_setops;
           Alcotest.test_case "byte boundary" `Quick test_bitset_boundary;
-          qt prop_bitset_roundtrip ] );
+          qt prop_bitset_roundtrip;
+          qt prop_bitset_model ] );
       ( "pareto",
         [ Alcotest.test_case "simple front" `Quick test_front_simple;
           Alcotest.test_case "best value at" `Quick test_front_best_value_at;
