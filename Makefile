@@ -68,8 +68,9 @@ parallel-stress: build
 	$(MAKE) faults
 
 # Observability smoke: scrape /metrics + /healthz from a live
-# `metrics serve` over a pooled workload, then assert a faulted run
-# leaves a crash flight recording (scripts/metrics_smoke.sh).
+# `serve --metrics-port` daemon after two golden batch passes, assert
+# warm cache hits on a `stats --prometheus` rerun, then assert a
+# faulted run leaves a crash flight recording (scripts/metrics_smoke.sh).
 metrics-smoke: build
 	sh scripts/metrics_smoke.sh
 

@@ -12,9 +12,6 @@
      stats <id>                   run an experiment and print its span tree,
                                   histogram percentiles and telemetry
                                   (--prometheus / --flight for machine form)
-     metrics serve                expose /metrics, /healthz and /flight over
-                                  HTTP (TCP and/or Unix socket) while running
-                                  a workload loop — the daemon's scrape surface
      cache show|clear             inspect / empty the persistent curve cache
      batch <requests.jsonl>       answer a JSONL stream of solver requests with
                                   structural dedup, budget-sweep sharing and
@@ -199,10 +196,14 @@ let obs_term =
     const obs_setup $ trace_file_arg $ log_level_arg $ log_json_arg
     $ metrics_out_arg $ deadline_arg $ max_nodes_arg $ fault_spec_arg)
 
+(* Snapshot delta, not reset-then-read: epoch-safe even while pool
+   workers are still reporting (see Obs.Snapshot).  --metrics-out and
+   the --stats tables both report this command's delta. *)
+let metrics_delta obs =
+  Obs.Snapshot.delta ~before:obs.baseline ~after:(Obs.Snapshot.take ())
+
 let metrics_json obs =
-  (* Snapshot delta, not reset-then-read: epoch-safe even while pool
-     workers are still reporting (see Obs.Snapshot). *)
-  let d = Obs.Snapshot.delta ~before:obs.baseline ~after:(Obs.Snapshot.take ()) in
+  let d = metrics_delta obs in
   Printf.sprintf "{\"telemetry\": %s, \"histograms\": %s}\n"
     (Obs.Snapshot.telemetry_json d)
     (Obs.Snapshot.histograms_json d)
@@ -257,13 +258,8 @@ let with_jobs_pool jobs f =
 
 let apply_no_cache no_cache = if no_cache then Engine.Cache.set_enabled false
 
-let print_stats stats =
-  if stats then begin
-    Format.fprintf fmt "@.--- telemetry ---@.";
-    Engine.Telemetry.pp_table fmt ();
-    Format.fprintf fmt "@.--- histograms ---@.";
-    Engine.Histogram.pp_table fmt ()
-  end
+let print_stats ?(out = fmt) obs stats =
+  if stats then Obs.Snapshot.pp out (metrics_delta obs)
 
 (* ------------------------------------------------------------------ *)
 
@@ -313,7 +309,7 @@ let curve_cmd =
           p.cycles
           (base /. float_of_int p.cycles))
       (Isa.Config.points curve);
-    print_stats stats;
+    print_stats obs stats;
     obs_finish obs;
     Format.pp_print_flush fmt ()
   in
@@ -515,7 +511,7 @@ let experiment_cmd =
         if failures <> [] then
           Format.fprintf fmt "@.[%d experiment(s) failed: %s]@."
             (List.length failures) (String.concat ", " failures);
-        print_stats stats;
+        print_stats obs stats;
         obs_finish obs;
         Format.pp_print_flush fmt ();
         if failures <> [] then exit 1
@@ -528,7 +524,7 @@ let experiment_cmd =
                | None -> e.run ())
            in
            Experiments.Report.render fmt result;
-           print_stats stats;
+           print_stats obs stats;
            obs_finish obs
          | None ->
            Format.eprintf "unknown experiment %s@." id;
@@ -558,7 +554,7 @@ let profile_cmd =
     let doc =
       "Instead of the human-readable tables, print the labeled metric \
        registry to standard output in Prometheus text exposition format \
-       v0.0.4 (what $(b,metrics serve) answers on /metrics)."
+       v0.0.4."
     in
     Arg.(value & flag & info [ "prometheus" ] ~doc)
   in
@@ -594,10 +590,7 @@ let profile_cmd =
           result.elapsed;
         Format.fprintf fmt "@.--- span tree ---@.";
         Engine.Trace.pp_tree fmt ();
-        Format.fprintf fmt "@.--- histograms ---@.";
-        Engine.Histogram.pp_table fmt ();
-        Format.fprintf fmt "@.--- telemetry ---@.";
-        Engine.Telemetry.pp_table fmt ()
+        print_stats obs true
       end;
       obs_finish obs;
       Format.pp_print_flush fmt ()
@@ -610,100 +603,6 @@ let profile_cmd =
     Term.(
       const run $ obs_term $ jobs_arg $ no_cache_arg $ prometheus_arg
       $ flight_arg $ id_arg)
-
-(* ------------------------------------------------------------------ *)
-
-(* `metrics serve` — the scrape surface of the future resident daemon:
-   bind /metrics, /healthz and /flight, then keep the registry live by
-   looping a workload (curve warms over the named kernels plus a small
-   synthetic batch round) until killed or --iterations runs out. *)
-let metrics_serve_cmd =
-  let port_arg =
-    let doc =
-      "Listen for HTTP scrapes on 127.0.0.1:$(docv); 0 binds an \
-       ephemeral port (printed on startup)."
-    in
-    Arg.(value & opt (some int) None & info [ "port" ] ~docv:"PORT" ~doc)
-  in
-  let unix_arg =
-    let doc = "Listen on a Unix-domain socket at $(docv) (removed on exit)." in
-    Arg.(value & opt (some string) None & info [ "unix" ] ~docv:"PATH" ~doc)
-  in
-  let iterations_arg =
-    let doc = "Stop after $(docv) workload iterations (0 = run until killed)." in
-    Arg.(value & opt int 0 & info [ "iterations" ] ~docv:"N" ~doc)
-  in
-  let serve_kernels_arg =
-    let doc =
-      "Kernels whose curve suite each workload iteration regenerates \
-       (default: batch rounds only)."
-    in
-    Arg.(value & pos_all string [] & info [] ~docv:"KERNEL" ~doc)
-  in
-  let batch_round memo pool i =
-    let inst = Check.Gen.instance (Util.Prng.create (0x5eed + (i mod 64))) in
-    let reqs =
-      List.mapi
-        (fun j op ->
-          { Batch.Protocol.id = Printf.sprintf "serve-%d-%d" i j;
-            op;
-            instance = inst;
-            generator = Ise.Isegen.Exhaustive })
-        [ Batch.Protocol.Edf; Batch.Protocol.Rms;
-          Batch.Protocol.Pareto_approx; Batch.Protocol.Curve ]
-    in
-    ignore (Batch.Service.run ?pool ~memo (reqs @ reqs))
-  in
-  let run obs no_cache jobs port unix_path iterations names =
-    apply_no_cache no_cache;
-    if port = None && unix_path = None then begin
-      Format.eprintf "metrics serve: --port and/or --unix is required@.";
-      exit 1
-    end;
-    List.iter (fun n -> ignore (resolve n)) names;
-    let server = Obs.Serve.start ?port ?unix_path () in
-    (match Obs.Serve.port server with
-     | Some p ->
-       Format.eprintf
-         "metrics: serving /metrics /healthz /flight on http://127.0.0.1:%d@." p
-     | None -> ());
-    Option.iter
-      (fun p -> Format.eprintf "metrics: unix socket at %s@." p)
-      unix_path;
-    let memo = Engine.Memo.create ~shards:4 ~namespace:"serve" () in
-    with_jobs_pool jobs (fun pool ->
-        let rec loop i =
-          if iterations = 0 || i < iterations then begin
-            if names <> [] then begin
-              (* drop the in-process curve memo so every iteration
-                 exercises the cache/curve pipeline, not a hashtable *)
-              Experiments.Curves.reset ();
-              Experiments.Curves.warm ?pool names
-            end;
-            batch_round memo pool i;
-            Engine.Memo.observe_occupancy memo;
-            if names = [] then Unix.sleepf 0.05;
-            loop (i + 1)
-          end
-        in
-        loop 0);
-    Obs.Serve.stop server;
-    obs_finish obs
-  in
-  Cmd.v
-    (Cmd.info "serve"
-       ~doc:"Serve /metrics (Prometheus text format v0.0.4), /healthz and \
-             /flight over HTTP while looping a curve + batch workload — \
-             the first running brick of the resident solver daemon.")
-    Term.(
-      const run $ obs_term $ no_cache_arg $ jobs_arg $ port_arg $ unix_arg
-      $ iterations_arg $ serve_kernels_arg)
-
-let metrics_cmd =
-  Cmd.group
-    (Cmd.info "metrics"
-       ~doc:"Observability service endpoints (currently: $(b,serve)).")
-    [ metrics_serve_cmd ]
 
 (* ------------------------------------------------------------------ *)
 
@@ -858,12 +757,7 @@ let batch_cmd =
        Fun.protect ~finally:(fun () -> close_out_noerr oc) (fun () -> emit oc));
     Option.iter (fun s -> Format.eprintf "%a@." Batch.Service.pp_stats s) stats;
     (* responses own stdout, so the telemetry dump goes to stderr here *)
-    if stats_flag then begin
-      Format.eprintf "@.--- telemetry ---@.";
-      Engine.Telemetry.pp_table Format.err_formatter ();
-      Format.eprintf "@.--- histograms ---@.";
-      Engine.Histogram.pp_table Format.err_formatter ()
-    end;
+    print_stats ~out:Format.err_formatter obs stats_flag;
     obs_finish obs;
     let errors = List.length indexed - List.length oks in
     if errors > 0 then begin
@@ -888,7 +782,8 @@ let batch_cmd =
 
 (* `serve` — the resident solver daemon: a long-lived Batch.Protocol
    JSONL server over one shared memo and one shared pool, with the
-   metrics/health surface of `metrics serve` riding alongside.  SIGTERM
+   /metrics, /healthz and /flight surface (Obs.Serve) riding alongside
+   on --metrics-port / --metrics-unix.  SIGTERM
    and SIGINT trigger a graceful drain: stop accepting, flip /healthz
    to 503, finish in-flight requests, then exit 0. *)
 let serve_cmd =
@@ -1203,5 +1098,5 @@ let () =
     (Cmd.eval
        (Cmd.group info
           [ kernels_cmd; curve_cmd; select_cmd; iterate_cmd; pareto_cmd;
-            dot_cmd; experiment_cmd; profile_cmd; metrics_cmd; cache_cmd;
+            dot_cmd; experiment_cmd; profile_cmd; cache_cmd;
             batch_cmd; serve_cmd; check_cmd ]))

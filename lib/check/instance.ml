@@ -83,7 +83,7 @@ let pp fmt t =
     (List.length t.dfg.edges)
 
 let to_json t =
-  let open Engine.Jsonx in
+  let open Obs.Jsonx in
   obj
     [ ("budget", string_of_int t.budget);
       (* %.17g round-trips doubles exactly; Jsonx.float's %.6f would

@@ -996,14 +996,14 @@ let cache_roundtrip_and_corruption =
               Fun.protect
                 ~finally:(fun () -> close_out_noerr oc)
                 (fun () -> output_string oc (String.sub contents 0 cut));
-              let corrupt_before = Engine.Telemetry.counter "cache.corrupt" in
+              let corrupt_before = int_of_float (Obs.Metrics.sum "cache.corrupt") in
               (match Engine.Cache.find ~namespace:"check" ~key () with
                | exception e ->
                  failf "corrupt entry raised %s instead of recomputing"
                    (Printexc.to_string e)
                | Some _ ->
                  Fail "truncated entry still reads as a hit"
-               | None when Engine.Telemetry.counter "cache.corrupt" = corrupt_before ->
+               | None when int_of_float (Obs.Metrics.sum "cache.corrupt") = corrupt_before ->
                  Fail "truncated entry read as a plain miss, not corruption"
                | None ->
                  (* the recompute-and-store path must repair the entry *)

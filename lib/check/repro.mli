@@ -2,7 +2,7 @@
 
     A repro file is one JSON object — property name, the seed the run
     started from, and the (shrunk) instance — written with
-    {!Engine.Jsonx} and read back with the small JSON parser this
+    {!Obs.Jsonx} and read back with the small JSON parser this
     module carries (parsing deliberately stays out of [lib/engine]).
     [isecustom check replay FILE] re-runs exactly the recorded property
     on exactly the recorded instance.
@@ -26,10 +26,11 @@ exception Parse_error of string
 val parse : string -> json
 (** Recursive-descent parse of a complete JSON document.  Raises
     {!Parse_error} (never any other exception) on malformed input,
-    including trailing content. *)
+    including trailing content and unescaped control characters
+    (U+0000–U+001F) inside strings. *)
 
 val to_string : json -> string
-(** Deterministic emission matching the {!Engine.Jsonx} conventions:
+(** Deterministic emission matching the {!Obs.Jsonx} conventions:
     [", "]-separated members, integral doubles in [[-2^53, 2^53]] in
     integer form, other numbers via [%.17g] (exact double round-trip),
     non-finite numbers as [null].  On that domain

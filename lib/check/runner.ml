@@ -172,7 +172,7 @@ let fault_selftest ?(fmt = null_fmt) () =
       { Engine.Fault.seed = 42;
         points = [ (p, { Engine.Fault.prob = 1.; cap = Some cap }) ] }
   in
-  let counter = Engine.Telemetry.counter in
+  let counter name = int_of_float (Obs.Metrics.sum name) in
   let injected_since before p =
     check
       (counter "fault.injected" > before)

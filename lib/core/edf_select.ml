@@ -60,7 +60,7 @@ let run ~budget tasks =
       [ ("tasks", string_of_int (List.length tasks));
         ("budget", string_of_int budget) ]
   @@ fun () ->
-  Engine.Telemetry.time "edf.select" @@ fun () ->
+  Obs.Metrics.time_s "edf.select" @@ fun () ->
   Obs.Metrics.inc ~labels:[ ("solver", "edf") ] "solver.runs";
   let tasks = Array.of_list tasks in
   let n = Array.length tasks in
@@ -68,10 +68,10 @@ let run ~budget tasks =
   else begin
     let delta = granularity ~budget (Array.to_list tasks) in
     let cells = (budget / delta) + 1 in
-    Engine.Telemetry.add "edf.dp_cells" (n * cells);
+    Obs.Metrics.inc ~by:(float_of_int (n * cells)) "edf.dp_cells";
     (* distinct name: the registry keys kind by family name, so the
        per-solve distribution cannot share the counter's name *)
-    Engine.Histogram.observe "edf.dp_cells_per_solve" (float_of_int (n * cells));
+    Obs.Metrics.observe "edf.dp_cells_per_solve" (float_of_int (n * cells));
     let choice = dp_tables ~delta ~cells tasks in
     traceback ~delta ~choice tasks (cells - 1)
   end
@@ -88,8 +88,8 @@ let run_sweep ~budgets tasks =
         [ ("tasks", string_of_int (List.length tasks));
           ("budgets", string_of_int (List.length budgets)) ]
     @@ fun () ->
-    Engine.Telemetry.time "edf.select" @@ fun () ->
-    Engine.Telemetry.incr "edf.sweeps";
+    Obs.Metrics.time_s "edf.select" @@ fun () ->
+    Obs.Metrics.inc "edf.sweeps";
     Obs.Metrics.inc ~labels:[ ("solver", "edf_sweep") ] "solver.runs";
     let tasks = Array.of_list tasks in
     let n = Array.length tasks in
@@ -105,8 +105,8 @@ let run_sweep ~budgets tasks =
         max 1 (Util.Numeric.gcd_list (budgets @ positive_areas (Array.to_list tasks)))
       in
       let cells = (max_budget / delta) + 1 in
-      Engine.Telemetry.add "edf.dp_cells" (n * cells);
-      Engine.Histogram.observe "edf.dp_cells_per_solve" (float_of_int (n * cells));
+      Obs.Metrics.inc ~by:(float_of_int (n * cells)) "edf.dp_cells";
+      Obs.Metrics.observe "edf.dp_cells_per_solve" (float_of_int (n * cells));
       let choice = dp_tables ~delta ~cells tasks in
       List.map (fun b -> traceback ~delta ~choice tasks (b / delta)) budgets
     end

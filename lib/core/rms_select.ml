@@ -20,7 +20,7 @@ let run_instrumented ?guard ?(use_bound = true) ?(fastest_first = true) ~budget
       [ ("tasks", string_of_int (List.length tasks));
         ("budget", string_of_int budget) ]
   @@ fun () ->
-  Engine.Telemetry.time "rms.select" @@ fun () ->
+  Obs.Metrics.time_s "rms.select" @@ fun () ->
   Obs.Metrics.inc ~labels:[ ("solver", "rms") ] "solver.runs";
   let tasks = Array.of_list (sort_by_priority tasks) in
   let n = Array.length tasks in
@@ -88,11 +88,12 @@ let run_instrumented ?guard ?(use_bound = true) ?(fastest_first = true) ~budget
     end
   in
   search 0 0 0.;
-  Engine.Telemetry.add "rms.explored" !explored;
-  Engine.Histogram.observe "rms.bnb_nodes" (float_of_int !explored);
-  Engine.Telemetry.add "rms.pruned_bound" !pruned_bound;
-  Engine.Telemetry.add "rms.pruned_schedulability" !pruned_schedulability;
-  Engine.Telemetry.add "rms.pruned_area" !pruned_area;
+  Obs.Metrics.inc ~by:(float_of_int !explored) "rms.explored";
+  Obs.Metrics.observe "rms.bnb_nodes" (float_of_int !explored);
+  Obs.Metrics.inc ~by:(float_of_int !pruned_bound) "rms.pruned_bound";
+  Obs.Metrics.inc ~by:(float_of_int !pruned_schedulability)
+    "rms.pruned_schedulability";
+  Obs.Metrics.inc ~by:(float_of_int !pruned_area) "rms.pruned_area";
   ( Option.map Selection.of_assignment !incumbent,
     { explored = !explored; pruned_bound = !pruned_bound;
       pruned_schedulability = !pruned_schedulability; pruned_area = !pruned_area;

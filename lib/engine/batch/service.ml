@@ -142,7 +142,7 @@ let compute_group memo (ps : Protocol.prepared list) =
   Engine.Trace.with_span "batch.group"
     ~attrs:[ ("size", string_of_int (List.length ps)) ]
   @@ fun () ->
-  Engine.Histogram.time "batch.group_s" @@ fun () ->
+  Obs.Metrics.time "batch.group_s" @@ fun () ->
   let probed =
     List.map
       (fun (p : Protocol.prepared) ->
@@ -165,7 +165,8 @@ let compute_group memo (ps : Protocol.prepared list) =
         Core.Edf_select.run_sweep ~budgets
           (Check.Instance.tasks first.Protocol.canonical)
       in
-      Engine.Telemetry.add "batch.sweep_budgets" (List.length missing);
+      Obs.Metrics.inc ~by:(float_of_int (List.length missing))
+        "batch.sweep_budgets";
       (List.map2 (fun p sel -> (p, edf_payload sel)) missing sels, List.length missing)
     | _ ->
       ( List.map
@@ -196,7 +197,7 @@ let run ?pool ?memo reqs =
   Engine.Trace.with_span "batch.run"
     ~attrs:[ ("requests", string_of_int (List.length reqs)) ]
   @@ fun () ->
-  Engine.Histogram.time "batch.run_s" @@ fun () ->
+  Obs.Metrics.time "batch.run_s" @@ fun () ->
   let prepared = List.map Protocol.prepare reqs in
   List.iter
     (fun (p : Protocol.prepared) ->
@@ -245,7 +246,7 @@ let run ?pool ?memo reqs =
         | Error (err : Engine.Parallel.error) ->
           (* the parallel pool gave up on this group (worker faults);
              recompute it inline — same code, same bytes *)
-          Engine.Telemetry.incr "batch.group_recovered";
+          Obs.Metrics.inc "batch.group_recovered";
           Obs.Flight.record ~severity:Obs.Flight.Warn "batch.group_recovered"
             [ ("size", string_of_int (List.length g));
               ("error", err.Engine.Parallel.message) ];
@@ -270,9 +271,9 @@ let run ?pool ?memo reqs =
       memo_hits = List.fold_left (fun a r -> a + r.g_memo_hits) 0 results;
       swept = List.fold_left (fun a r -> a + r.g_swept) 0 results }
   in
-  Engine.Telemetry.add "batch.unique" stats.unique;
-  Engine.Telemetry.add "batch.groups" stats.groups;
-  Engine.Telemetry.add "batch.dedup_hits" stats.dedup_hits;
+  Obs.Metrics.inc ~by:(float_of_int stats.unique) "batch.unique";
+  Obs.Metrics.inc ~by:(float_of_int stats.groups) "batch.groups";
+  Obs.Metrics.inc ~by:(float_of_int stats.dedup_hits) "batch.dedup_hits";
   Obs.Flight.record "batch.run"
     [ ("requests", string_of_int stats.requests);
       ("unique", string_of_int stats.unique);

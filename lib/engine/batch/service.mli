@@ -22,7 +22,7 @@
     request stream the two produce byte-identical lines, cold or
     memo-warm — the central property of the [batch] suite.
 
-    Telemetry: ["batch.requests"], ["batch.unique"],
+    Metrics: ["batch.requests"], ["batch.unique"],
     ["batch.dedup_hits"], ["batch.groups"], ["batch.sweep_budgets"],
     ["batch.group_recovered"]; histograms ["batch.run_s"],
     ["batch.group_s"]; spans ["batch.run"] / ["batch.group"]. *)

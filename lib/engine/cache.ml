@@ -3,7 +3,7 @@ let magic = "ISECACHE"
 
 (* Families declared up front so /metrics exposes them (with help
    text) before the first hit or miss; cells carry a [namespace]
-   label, and unlabeled [Telemetry.counter] reads sum across them. *)
+   label, and unlabeled [Obs.Metrics.sum] reads total across them. *)
 let () =
   Obs.Metrics.declare ~help:"Persistent cache hits by namespace"
     Obs.Metrics.Counter "cache.hits";

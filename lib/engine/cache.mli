@@ -8,7 +8,7 @@
     misses instead of raising, each with a {!Log.warn} naming the file
     and the damage so the recompute is explained.  Lookups report
     ["cache.hits"] / ["cache.misses"] (and ["cache.corrupt"]) into
-    {!Telemetry}.
+    [Obs.Metrics].
 
     The cache is best-effort in both directions: a failing write
     (ENOSPC, a read-only directory, the ["cache.write"] fault point)

@@ -74,7 +74,7 @@ let fires point =
            end)
   && begin
        (* One labeled family replaces the old per-point dynamic
-          counter names; the aggregate [Telemetry.counter
+          counter names; the aggregate [Obs.Metrics.sum
           "fault.injected"] read is the sum across points. *)
        Obs.Metrics.inc ~labels:[ ("point", point) ] "fault.injected";
        Obs.Flight.record ~severity:Obs.Flight.Warn "fault.injected"

@@ -15,7 +15,7 @@
     reproducible.  Deadlines are not (they depend on machine speed);
     use fuel when reproducibility matters and deadlines when latency
     does.  The first exhaustion of a guard counts ["guard.exhausted"]
-    in {!Telemetry}.
+    in [Obs.Metrics].
 
     The ["guard.exhaust"] {!Fault} point can force a {e bounded} guard
     to exhaust at any tick, so the degradation paths are testable

@@ -56,10 +56,10 @@ let emit l message =
       | None -> ()
       | Some oc ->
         output_string oc
-          (Jsonx.obj
-             [ ("ts", Jsonx.float ts);
-               ("level", Jsonx.string (string_of_level l));
-               ("msg", Jsonx.string message) ]);
+          (Obs.Jsonx.obj
+             [ ("ts", Obs.Jsonx.float ts);
+               ("level", Obs.Jsonx.string (string_of_level l));
+               ("msg", Obs.Jsonx.string message) ]);
         output_char oc '\n';
         flush oc)
 

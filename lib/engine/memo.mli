@@ -11,8 +11,8 @@
     memory-only exactly as {!Cache.store} documents), and a miss in the
     shard probes the cache before giving up; a spill hit is promoted
     back into its shard.  Lookups count ["memo.hits"] /
-    ["memo.misses"] / ["memo.spill_hits"] / ["memo.stores"] in
-    {!Telemetry}. *)
+    ["memo.misses"] / ["memo.spill_hits"] / ["memo.stores"] as
+    [Obs.Metrics] counters. *)
 
 type t
 
@@ -37,8 +37,8 @@ val size : t -> int
 
 val observe_occupancy : t -> unit
 (** Record each shard's resident entry count into the
-    ["memo.shard_occupancy"] {!Histogram} — a flat distribution means
-    the hash prefix is spreading keys evenly. *)
+    ["memo.shard_occupancy"] [Obs.Metrics] histogram — a flat
+    distribution means the hash prefix is spreading keys evenly. *)
 
 val clear : t -> unit
 (** Drop the in-memory shards (spilled entries survive in the cache). *)

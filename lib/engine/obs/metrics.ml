@@ -10,11 +10,10 @@
 type labels = (string * string) list
 type kind = Counter | Gauge | Hist
 
-(* Histogram cells use the same geometric buckets the standalone
-   Engine.Histogram introduced: ratio 2^(1/8), bucket [i] covering
-   [2^((i-offset)/8), 2^((i-offset+1)/8)).  480 buckets span 2^-30 to
-   2^30 — nanoseconds to decades in seconds, or counts up to ~1e9 —
-   and anything outside clamps into the end buckets. *)
+(* Histogram cells use geometric buckets: ratio 2^(1/8), bucket [i]
+   covering [2^((i-offset)/8), 2^((i-offset+1)/8)).  480 buckets span
+   2^-30 to 2^30 — nanoseconds to decades in seconds, or counts up to
+   ~1e9 — and anything outside clamps into the end buckets. *)
 let sub_buckets = 8
 let bucket_offset = 30 * sub_buckets
 let n_buckets = 2 * bucket_offset
@@ -149,10 +148,13 @@ let declare ?help ?(unit_s = false) kind name =
       | Some _ -> ()
       | None -> note_clash ())
 
+(* Adding zero records nothing, so a family shows up (in --metrics-out
+   and /metrics) only once something was counted. *)
 let inc ?(labels = []) ?(by = 1.) name =
-  with_cell ~kind:Counter ~unit_s:false name labels (function
-    | Num r -> r := !r +. by
-    | Hc _ -> ())
+  if by <> 0. then
+    with_cell ~kind:Counter ~unit_s:false name labels (function
+      | Num r -> r := !r +. by
+      | Hc _ -> ())
 
 let inc_s ?(labels = []) name dt =
   with_cell ~kind:Counter ~unit_s:true name labels (function
@@ -181,6 +183,12 @@ let time ?labels name f =
   let t0 = Unix.gettimeofday () in
   Fun.protect
     ~finally:(fun () -> observe ?labels name (Unix.gettimeofday () -. t0))
+    f
+
+let time_s ?labels name f =
+  let t0 = Unix.gettimeofday () in
+  Fun.protect
+    ~finally:(fun () -> inc_s ?labels name (Unix.gettimeofday () -. t0))
     f
 
 (* ------------------------------------------------------------------ *)

@@ -35,7 +35,7 @@ val declare : ?help:string -> ?unit_s:bool -> kind -> string -> unit
 
 val inc : ?labels:labels -> ?by:float -> string -> unit
 (** Add [by] (default 1) to a counter cell, creating family and cell
-    on first use. *)
+    on first use.  [by = 0.] is a no-op that creates neither. *)
 
 val inc_s : ?labels:labels -> string -> float -> unit
 (** Add a duration in seconds to a counter cell; the family is marked
@@ -52,10 +52,16 @@ val time : ?labels:labels -> string -> (unit -> 'a) -> 'a
 (** Run the thunk and [observe] its wall-clock duration, even on
     exception. *)
 
+val time_s : ?labels:labels -> string -> (unit -> 'a) -> 'a
+(** Run the thunk and add its wall-clock duration to a seconds-unit
+    counter ([inc_s]), even on exception — a cumulative timer, which
+    [Snapshot.telemetry_json] lists under ["timers"]. *)
+
 val set_enabled : bool -> unit
 (** Kill-switch: when disabled, writes return without taking the
-    registry lock.  Reads and [declare] stay live.  Used by the bench
-    to measure observability overhead. *)
+    registry lock.  Reads and [declare] stay live.  Used by the
+    [@perf-gates] overhead floor and perfbench to measure
+    observability overhead. *)
 
 val enabled : unit -> bool
 
@@ -67,9 +73,9 @@ val value : ?labels:labels -> string -> float option
 
 val sum : string -> float
 (** Sum of every counter/gauge cell in the family, across all label
-    sets; [0.] for missing families.  This is what lets unlabeled
-    legacy reads ([Engine.Telemetry.counter]) keep working after call
-    sites gain labels. *)
+    sets; [0.] for missing families.  This is how unlabeled reads
+    (e.g. [cache.hits] across its [namespace] cells) see family-wide
+    totals. *)
 
 type histdata = {
   hbuckets : int array;  (** geometric buckets, ratio 2^(1/8) *)
@@ -119,8 +125,7 @@ val reset : ?kind:kind -> unit -> unit
 (** Drop every family (or only those of [kind]).  Not an epoch
     barrier: samples written concurrently land in whichever epoch the
     mutex orders them into — prefer {!Snapshot} deltas.  Retained for
-    test isolation and the legacy [Engine.Telemetry.reset] /
-    [Engine.Histogram.reset] shims. *)
+    test isolation. *)
 
 (** {1 Histogram geometry}
 

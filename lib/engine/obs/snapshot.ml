@@ -52,6 +52,14 @@ let delta ~before ~after =
 let find t name =
   List.find_opt (fun (f : Metrics.family) -> f.Metrics.fam_name = name) t
 
+let total (f : Metrics.family) =
+  List.fold_left
+    (fun acc (_, v) ->
+      match v with
+      | Metrics.C x | Metrics.G x -> acc +. x
+      | Metrics.H _ -> acc)
+    0. f.Metrics.fam_cells
+
 let counter ?labels t name =
   match find t name with
   | None -> 0.
@@ -61,15 +69,17 @@ let counter ?labels t name =
       (match List.assoc_opt (Metrics.canon_labels ls) f.Metrics.fam_cells with
       | Some (Metrics.C v) | Some (Metrics.G v) -> v
       | Some (Metrics.H _) | None -> 0.)
-    | None ->
-      List.fold_left
-        (fun acc (_, v) ->
-          match v with
-          | Metrics.C x | Metrics.G x -> acc +. x
-          | Metrics.H _ -> acc)
-        0. f.Metrics.fam_cells)
+    | None -> total f)
 
 let gauge ?labels t name = counter ?labels t name
+
+let merged f =
+  List.fold_left
+    (fun acc (_, v) ->
+      match v with
+      | Metrics.H h -> Metrics.merge_hist acc h
+      | _ -> acc)
+    (Metrics.empty_hist ()) f.Metrics.fam_cells
 
 let hist_data ?labels t name =
   match find t name with
@@ -81,61 +91,50 @@ let hist_data ?labels t name =
       (match List.assoc_opt (Metrics.canon_labels ls) f.Metrics.fam_cells with
       | Some (Metrics.H h) -> Some h
       | _ -> None)
-    | None ->
-      Some
-        (List.fold_left
-           (fun acc (_, v) ->
-             match v with
-             | Metrics.H h -> Metrics.merge_hist acc h
-             | _ -> acc)
-           (Metrics.empty_hist ()) f.Metrics.fam_cells))
+    | None -> Some (merged f))
 
 let hist_stats ?labels t name =
   match hist_data ?labels t name with
   | Some h when h.Metrics.hcount > 0 -> Some (Metrics.stats_of_hist h)
   | Some _ | None -> None
 
-(* JSON mirrors of Engine.Telemetry.to_json / Engine.Histogram.to_json,
-   computed over a snapshot (usually a delta) instead of the live
-   registry, so bench/CLI emission keeps its schema while gaining
-   epoch safety. *)
+(* Counter families split into plain counters and seconds-unit timers,
+   each with its label cells summed; and histogram families with at
+   least one sample, label cells merged.  The JSON and the tables below
+   read the same two views. *)
 
-let counter_families t =
-  List.filter
+let counters_and_timers t =
+  let fams =
+    List.filter
+      (fun (f : Metrics.family) ->
+        f.Metrics.fam_kind = Metrics.Counter && f.Metrics.fam_cells <> [])
+      t
+  in
+  let cs, ts =
+    List.partition (fun (f : Metrics.family) -> not f.Metrics.fam_unit_s) fams
+  in
+  let totals = List.map (fun f -> (f.Metrics.fam_name, total f)) in
+  (totals cs, totals ts)
+
+let histograms t =
+  List.filter_map
     (fun (f : Metrics.family) ->
-      f.Metrics.fam_kind = Metrics.Counter && f.Metrics.fam_cells <> [])
+      if f.Metrics.fam_kind <> Metrics.Hist then None
+      else
+        let h = merged f in
+        if h.Metrics.hcount = 0 then None
+        else Some (f.Metrics.fam_name, Metrics.stats_of_hist h))
     t
 
 let telemetry_json t =
-  let cs, ts =
-    List.partition
-      (fun (f : Metrics.family) -> not f.Metrics.fam_unit_s)
-      (counter_families t)
-  in
-  let total f = counter t f.Metrics.fam_name in
+  let cs, ts = counters_and_timers t in
   Jsonx.obj
     [ ( "counters",
         Jsonx.obj
-          (List.map
-             (fun f ->
-               (f.Metrics.fam_name, string_of_int (int_of_float (total f))))
-             cs) );
-      ( "timers",
-        Jsonx.obj
-          (List.map (fun f -> (f.Metrics.fam_name, Jsonx.float (total f))) ts)
-      ) ]
+          (List.map (fun (k, v) -> (k, string_of_int (int_of_float v))) cs) );
+      ("timers", Jsonx.obj (List.map (fun (k, v) -> (k, Jsonx.float v)) ts)) ]
 
 let histograms_json t =
-  let hs =
-    List.filter_map
-      (fun (f : Metrics.family) ->
-        if f.Metrics.fam_kind <> Metrics.Hist then None
-        else
-          match hist_stats t f.Metrics.fam_name with
-          | Some s -> Some (f.Metrics.fam_name, s)
-          | None -> None)
-      t
-  in
   Jsonx.obj
     (List.map
        (fun (name, (s : Metrics.hstats)) ->
@@ -148,4 +147,31 @@ let histograms_json t =
                ("p50", Jsonx.float s.Metrics.p50);
                ("p90", Jsonx.float s.Metrics.p90);
                ("p99", Jsonx.float s.Metrics.p99) ] ))
-       hs)
+       (histograms t))
+
+(* The tables leave out families that did not move in this snapshot —
+   in a delta, those only saw samples before the baseline. *)
+let pp fmt t =
+  let moved = List.filter (fun (_, v) -> v <> 0.) in
+  let cs, ts = counters_and_timers t in
+  let cs = moved cs and ts = moved ts in
+  Format.fprintf fmt "@.--- telemetry ---@.";
+  if cs = [] && ts = [] then Format.fprintf fmt "no telemetry recorded@."
+  else begin
+    List.iter
+      (fun (k, v) -> Format.fprintf fmt "%-32s %14d@." k (int_of_float v))
+      cs;
+    List.iter (fun (k, v) -> Format.fprintf fmt "%-32s %12.3f s@." k v) ts
+  end;
+  Format.fprintf fmt "@.--- histograms ---@.";
+  match histograms t with
+  | [] -> Format.fprintf fmt "no histograms recorded@."
+  | hs ->
+    Format.fprintf fmt "%-32s %8s %10s %10s %10s %10s@." "histogram" "count"
+      "p50" "p90" "p99" "max";
+    List.iter
+      (fun (name, (s : Metrics.hstats)) ->
+        Format.fprintf fmt "%-32s %8d %10.4g %10.4g %10.4g %10.4g@." name
+          s.Metrics.count s.Metrics.p50 s.Metrics.p90 s.Metrics.p99
+          s.Metrics.max)
+      hs

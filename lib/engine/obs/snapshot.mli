@@ -3,8 +3,8 @@
     [let s0 = Snapshot.take () in ...work...; let d = Snapshot.delta
     ~before:s0 ~after:(Snapshot.take ())] attributes every sample to
     exactly one epoch, with no quiescence requirement — the pattern
-    that replaces [Telemetry.reset]/[Histogram.reset] bracketing in
-    the CLI and bench.  A snapshot is an immutable deep copy; taking
+    the CLI and bench use instead of [Metrics.reset] bracketing.  A
+    snapshot is an immutable deep copy; taking
     one costs one pass over the registry under its mutex. *)
 
 type t
@@ -33,16 +33,28 @@ val hist_data : ?labels:Metrics.labels -> t -> string -> Metrics.histdata option
 
 val hist_stats : ?labels:Metrics.labels -> t -> string -> Metrics.hstats option
 
-(** {1 JSON emission}
+(** {1 Emission}
 
-    Same shapes as [Engine.Telemetry.to_json] and
-    [Engine.Histogram.to_json], so bench/CLI metric files keep their
-    schema while switching to snapshot deltas. *)
+    The JSON shapes are the schema of [--metrics-out] files and the
+    bench's metric files; the tables are what [--stats] and
+    [isecustom stats] print.  All three read counter families with
+    their label cells summed and histogram families with their cells
+    merged. *)
 
 val telemetry_json : t -> string
 (** [{"counters": {...ints...}, "timers": {...seconds...}}] over the
-    snapshot's counter families (label cells summed). *)
+    snapshot's counter families; seconds-unit families
+    ({!Metrics.inc_s}, {!Metrics.time_s}) are the timers.  Always valid
+    JSON: empty halves are [{}], names are escaped, and a non-finite
+    timer becomes [null]. *)
 
 val histograms_json : t -> string
 (** [{name: {count,sum,min,max,p50,p90,p99}}] over the snapshot's
-    histogram families (label cells merged). *)
+    histogram families with at least one sample. *)
+
+val pp : Format.formatter -> t -> unit
+(** A ["--- telemetry ---"] table (counters, then timers in seconds)
+    and a ["--- histograms ---"] table (count, p50, p90, p99, max).
+    Families that did not move are left out — over a delta, that is
+    everything recorded only before the baseline — and an empty table
+    prints ["no telemetry recorded"] / ["no histograms recorded"]. *)

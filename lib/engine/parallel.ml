@@ -33,18 +33,18 @@ let run_item ~attempts f x =
     with
     | v ->
       if attempt > 1 then begin
-        Telemetry.incr "parallel.recovered";
+        Obs.Metrics.inc "parallel.recovered";
         Obs.Flight.record "pool.item_recovered"
           [ ("attempts", string_of_int attempt) ]
       end;
       Ok v
     | exception e ->
       if attempt < attempts then begin
-        Telemetry.incr "parallel.retried";
+        Obs.Metrics.inc "parallel.retried";
         go (attempt + 1)
       end
       else begin
-        Telemetry.incr "parallel.item_failed";
+        Obs.Metrics.inc "parallel.item_failed";
         Obs.Flight.record ~severity:Obs.Flight.Warn "pool.item_failed"
           [ ("attempts", string_of_int attempt);
             ("error", Printexc.to_string e) ];
@@ -163,14 +163,14 @@ module Pool = struct
     scan 0
 
   let note_steal ~hunt =
-    Telemetry.incr "pool.steals";
+    Obs.Metrics.inc "pool.steals";
     let waited =
       match hunt with
       | Some t0 -> Unix.gettimeofday () -. t0
       | None -> 0.
     in
     let waited = max 0. waited in
-    Histogram.observe "pool.steal_wait_s" waited;
+    Obs.Metrics.observe "pool.steal_wait_s" waited;
     (* Info, not Warn: a long hunt usually just means the pool went
        idle between operations, so it must not trip the at_exit
        crash-dump on clean runs. *)
@@ -256,7 +256,7 @@ module Pool = struct
                 Domain.DLS.set key (Some (pool, me));
                 worker_loop pool ~me ~hunt:None;
                 Trace.flush_local ()));
-      Telemetry.add "pool.spawned" (jobs - 1)
+      Obs.Metrics.inc ~by:(float_of_int (jobs - 1)) "pool.spawned"
     end;
     Obs.Metrics.set "pool.jobs" (float_of_int jobs);
     pool
@@ -298,7 +298,7 @@ module Pool = struct
      stay alive long after. *)
   let run_all pool ~op thunks =
     ensure_running pool ~op;
-    Telemetry.incr "pool.reused";
+    Obs.Metrics.inc "pool.reused";
     let parent = Trace.current () in
     let remaining = Atomic.make (List.length thunks) in
     List.iter
@@ -401,7 +401,7 @@ module Pool = struct
       { cell; pool }
     end
     else begin
-      Telemetry.incr "pool.reused";
+      Obs.Metrics.inc "pool.reused";
       let parent = Trace.current () in
       push pool (fun () ->
           (match Trace.adopt parent th with

@@ -21,7 +21,7 @@
     Awaiting callers {e help}: they execute queued work items instead of
     blocking, so the pool can never deadlock on its own work.
 
-    Telemetry: ["pool.spawned"] (domains ever spawned), ["pool.reused"]
+    Metrics: ["pool.spawned"] (domains ever spawned), ["pool.reused"]
     (parallel operations dispatched onto already-resident domains),
     ["pool.items"] (work items executed), ["pool.steals"] (items claimed
     from another worker's deque); histogram ["pool.steal_wait_s"] (time

@@ -137,25 +137,25 @@ let pp_tree fmt () =
 let to_chrome_json () =
   let event s =
     let args =
-      ("span_id", Jsonx.string (string_of_int s.id))
+      ("span_id", Obs.Jsonx.string (string_of_int s.id))
       :: (match s.parent with
-          | Some p -> [ ("parent_id", Jsonx.string (string_of_int p)) ]
+          | Some p -> [ ("parent_id", Obs.Jsonx.string (string_of_int p)) ]
           | None -> [])
-      @ List.map (fun (k, v) -> (k, Jsonx.string v)) s.attrs
+      @ List.map (fun (k, v) -> (k, Obs.Jsonx.string v)) s.attrs
     in
-    Jsonx.obj
-      [ ("name", Jsonx.string s.name);
-        ("cat", Jsonx.string "isecustom");
-        ("ph", Jsonx.string "X");
-        ("ts", Jsonx.float (1e6 *. s.t_start));
-        ("dur", Jsonx.float (1e6 *. duration s));
+    Obs.Jsonx.obj
+      [ ("name", Obs.Jsonx.string s.name);
+        ("cat", Obs.Jsonx.string "isecustom");
+        ("ph", Obs.Jsonx.string "X");
+        ("ts", Obs.Jsonx.float (1e6 *. s.t_start));
+        ("dur", Obs.Jsonx.float (1e6 *. duration s));
         ("pid", "1");
         ("tid", string_of_int s.domain);
-        ("args", Jsonx.obj args) ]
+        ("args", Obs.Jsonx.obj args) ]
   in
-  Jsonx.obj
-    [ ("traceEvents", Jsonx.arr (List.map event (spans ())));
-      ("displayTimeUnit", Jsonx.string "ms") ]
+  Obs.Jsonx.obj
+    [ ("traceEvents", Obs.Jsonx.arr (List.map event (spans ())));
+      ("displayTimeUnit", Obs.Jsonx.string "ms") ]
 
 let write_chrome path =
   let oc = open_out path in

@@ -31,11 +31,11 @@ let collect f =
   let t = create () in
   (* any guard exhaustion during the driver means some solver stopped
      early and the numbers are best-effort, not exact *)
-  let exhausted_before = Engine.Telemetry.counter "guard.exhausted" in
+  let exhausted_before = int_of_float (Obs.Metrics.sum "guard.exhausted") in
   let t0 = Unix.gettimeofday () in
   f t;
   let status =
-    if Engine.Telemetry.counter "guard.exhausted" > exhausted_before then
+    if int_of_float (Obs.Metrics.sum "guard.exhausted") > exhausted_before then
       "partial"
     else "exact"
   in

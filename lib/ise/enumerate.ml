@@ -42,7 +42,7 @@ let warned_lock = Mutex.create ()
 
 let report_saturation budget sat ~explored ~emitted =
   let reason = saturation_reason sat in
-  Engine.Telemetry.incr "enumerate.cap_saturated";
+  Obs.Metrics.inc "enumerate.cap_saturated";
   Obs.Metrics.inc ~labels:[ ("reason", reason) ] "enumerate.cap_saturated";
   Obs.Flight.record ~severity:Obs.Flight.Warn "enumerate.cap_saturated"
     [ ("reason", reason);
@@ -136,9 +136,9 @@ let connected_full ?guard ?(constraints = Isa.Hw_model.default_constraints)
           end)
         (frontier dfg allowed ~mark set)
   done;
-  Engine.Telemetry.add "enumerate.explored" !explored;
-  Engine.Telemetry.add "enumerate.candidates" !emitted;
-  Engine.Histogram.observe "enumerate.candidates_per_block"
+  Obs.Metrics.inc ~by:(float_of_int !explored) "enumerate.explored";
+  Obs.Metrics.inc ~by:(float_of_int !emitted) "enumerate.candidates";
+  Obs.Metrics.observe "enumerate.candidates_per_block"
     (float_of_int !emitted);
   let saturation =
     if !emitted >= budget.max_candidates then Some Cap_candidates

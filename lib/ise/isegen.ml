@@ -214,8 +214,8 @@ let generate ?guard ?(constraints = Isa.Hw_model.default_constraints)
           end)
         pool)
     pool;
-  Engine.Telemetry.add "isegen.candidates" (Hashtbl.length found);
-  Engine.Histogram.observe "isegen.candidates_per_block"
+  Obs.Metrics.inc ~by:(float_of_int (Hashtbl.length found)) "isegen.candidates";
+  Obs.Metrics.observe "isegen.candidates_per_block"
     (float_of_int (Hashtbl.length found));
   Hashtbl.fold (fun _ ci acc -> ci :: acc) found [] |> List.sort by_quality
 

@@ -24,7 +24,7 @@ let run ?constraints ?budget ?(generator = Ise.Isegen.Exhaustive)
         match saturation with
         | None -> cands
         | Some _ ->
-          Engine.Telemetry.incr "isegen.auto_switches";
+          Obs.Metrics.inc "isegen.auto_switches";
           Ise.Isegen.generate ?constraints ~params:isegen ~allowed:available
             dfg
       in

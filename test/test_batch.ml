@@ -38,6 +38,20 @@ let test_parser_rejects_malformed_unicode_escape () =
       | exception R.Parse_error _ -> ())
     [ {|"\uZZZZ"|}; {|"\u00_0"|}; {|"\u"|}; {|"\u12"|} ]
 
+let test_parser_rejects_raw_control_chars () =
+  (* RFC 8259 §7: U+0000..U+001F must be escaped inside strings *)
+  List.iter
+    (fun text ->
+      match R.parse text with
+      | _ -> Alcotest.failf "parsed %S" text
+      | exception R.Parse_error _ -> ())
+    [ "{\"a\": \"x\ty\"}"; "{\"a\": \"x\001y\"}"; "{\"a\": \"x\ny\"}";
+      "{\"a\tb\": 1}" ];
+  check bool "escaped tab still decodes" true
+    (R.parse {|{"a": "x\ty"}|} = R.Obj [ ("a", R.Str "x\ty") ]);
+  check bool "tab between tokens is whitespace" true
+    (R.parse "{\t\"a\":\t1}" = R.Obj [ ("a", R.Num 1.) ])
+
 let test_as_int_rejects_unrepresentable () =
   check int "2^53 still exact" 9007199254740992 (R.as_int (R.Num 9007199254740992.));
   (match R.as_int (R.Num 1e30) with
@@ -300,6 +314,8 @@ let () =
           Alcotest.test_case "parse-emit idempotent" `Quick test_parse_emit_idempotent;
           Alcotest.test_case "malformed \\u escapes rejected" `Quick
             test_parser_rejects_malformed_unicode_escape;
+          Alcotest.test_case "raw control characters rejected" `Quick
+            test_parser_rejects_raw_control_chars;
           Alcotest.test_case "as_int range guard" `Quick
             test_as_int_rejects_unrepresentable;
           Alcotest.test_case "request line round-trip" `Quick

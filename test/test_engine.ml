@@ -145,56 +145,68 @@ let test_cache_disabled () =
   check bool "find misses" true
     ((Engine.Cache.find ~namespace:"test" ~key:"d" () : int option) = None)
 
+let counter name = int_of_float (Obs.Metrics.sum name)
+
+let family name =
+  List.find_opt
+    (fun (f : Obs.Metrics.family) -> f.Obs.Metrics.fam_name = name)
+    (Obs.Metrics.dump ())
+
 let test_cache_telemetry () =
   with_temp_cache @@ fun () ->
-  let h0 = Engine.Telemetry.counter "cache.hits"
-  and m0 = Engine.Telemetry.counter "cache.misses" in
+  let h0 = counter "cache.hits" and m0 = counter "cache.misses" in
   Engine.Cache.store ~namespace:"test" ~key:"h" 7;
   ignore (Engine.Cache.find ~namespace:"test" ~key:"h" () : int option);
   ignore (Engine.Cache.find ~namespace:"test" ~key:"absent" () : int option);
-  check int "hit counted" (h0 + 1) (Engine.Telemetry.counter "cache.hits");
-  check int "miss counted" (m0 + 1) (Engine.Telemetry.counter "cache.misses")
+  check int "hit counted" (h0 + 1) (counter "cache.hits");
+  check int "miss counted" (m0 + 1) (counter "cache.misses")
 
-(* ----------------------------- Telemetry ------------------------------ *)
+(* ------------------------- counters and timers ------------------------ *)
 
 let test_telemetry_counters () =
-  Engine.Telemetry.reset ();
-  check int "untouched counter reads 0" 0 (Engine.Telemetry.counter "t.c");
-  Engine.Telemetry.incr "t.c";
-  Engine.Telemetry.add "t.c" 4;
-  check int "incr + add accumulate" 5 (Engine.Telemetry.counter "t.c");
-  check bool "listed in counters ()" true
-    (List.mem_assoc "t.c" (Engine.Telemetry.counters ()));
-  Engine.Telemetry.reset ();
-  check int "reset zeroes" 0 (Engine.Telemetry.counter "t.c")
+  Obs.Metrics.reset ~kind:Obs.Metrics.Counter ();
+  check int "untouched counter reads 0" 0 (counter "t.c");
+  Obs.Metrics.inc "t.c";
+  Obs.Metrics.inc ~by:4. "t.c";
+  check int "inc + inc ~by accumulate" 5 (counter "t.c");
+  Obs.Metrics.inc ~by:0. "t.zero";
+  check bool "a zero inc creates no family" true (family "t.zero" = None);
+  check bool "a plain counter family" true
+    (match family "t.c" with
+     | Some f ->
+       f.Obs.Metrics.fam_kind = Obs.Metrics.Counter
+       && not f.Obs.Metrics.fam_unit_s
+     | None -> false);
+  Obs.Metrics.reset ~kind:Obs.Metrics.Counter ();
+  check int "reset zeroes" 0 (counter "t.c")
 
 let test_telemetry_timers () =
-  Engine.Telemetry.reset ();
-  let x = Engine.Telemetry.time "t.t" (fun () -> 41 + 1) in
-  check int "time returns the thunk's result" 42 x;
-  check bool "time accumulated" true (Engine.Telemetry.timer "t.t" >= 0.);
-  Engine.Telemetry.add_time "t.t" 1.5;
-  check bool "add_time accumulates" true (Engine.Telemetry.timer "t.t" >= 1.5);
-  (try Engine.Telemetry.time "t.exn" (fun () -> failwith "boom")
+  Obs.Metrics.reset ~kind:Obs.Metrics.Counter ();
+  let x = Obs.Metrics.time_s "t.t" (fun () -> 41 + 1) in
+  check int "time_s returns the thunk's result" 42 x;
+  check bool "time accumulated" true (Obs.Metrics.sum "t.t" >= 0.);
+  Obs.Metrics.inc_s "t.t" 1.5;
+  check bool "inc_s accumulates" true (Obs.Metrics.sum "t.t" >= 1.5);
+  (try Obs.Metrics.time_s "t.exn" (fun () -> failwith "boom")
    with Failure _ -> ());
-  check bool "timer recorded even on exception" true
-    (List.mem_assoc "t.exn" (Engine.Telemetry.timers ()))
+  check bool "timer recorded even on exception, as a seconds counter" true
+    (match family "t.exn" with
+     | Some f ->
+       f.Obs.Metrics.fam_kind = Obs.Metrics.Counter && f.Obs.Metrics.fam_unit_s
+     | None -> false)
 
 let test_telemetry_pipeline_monotone () =
-  Engine.Telemetry.reset ();
+  Obs.Metrics.reset ~kind:Obs.Metrics.Counter ();
   let cfg = Kernels.find "crc32" in
   ignore (Ise.Curve.generate ~params:Ise.Curve.small cfg);
-  let cand1 = Engine.Telemetry.counter "enumerate.candidates" in
+  let cand1 = counter "enumerate.candidates" in
   check bool "enumeration reported" true (cand1 > 0);
-  check int "one curve generated" 1
-    (Engine.Telemetry.counter "curve.curves_generated");
+  check int "one curve generated" 1 (counter "curve.curves_generated");
   ignore (Ise.Curve.generate ~params:Ise.Curve.small cfg);
   check bool "counters are monotone" true
-    (Engine.Telemetry.counter "enumerate.candidates" >= cand1);
-  check int "second generation counted" 2
-    (Engine.Telemetry.counter "curve.curves_generated");
-  check bool "curve timer advanced" true
-    (Engine.Telemetry.timer "curve.generate" > 0.)
+    (counter "enumerate.candidates" >= cand1);
+  check int "second generation counted" 2 (counter "curve.curves_generated");
+  check bool "curve timer advanced" true (Obs.Metrics.sum "curve.generate" > 0.)
 
 let () =
   Alcotest.run "engine"

@@ -1,8 +1,8 @@
 (* Observability tests: Prometheus text-format conformance (checked by
    parsing the exposition back with a line-format parser), flight-ring
    wraparound and cross-domain ordering, snapshot deltas under a pooled
-   workload, the Telemetry/Histogram compatibility shims, and an
-   in-process HTTP round-trip against the /metrics endpoint. *)
+   workload, the --stats tables, label-cell sums, and an in-process
+   HTTP round-trip against the /metrics endpoint. *)
 
 let check = Alcotest.check
 let int = Alcotest.int
@@ -388,20 +388,44 @@ let test_snapshot_json_shapes () =
   check bool "histogram entry" true (contains hj "\"t.json_hist\"");
   check bool "histogram stats fields" true (contains hj "\"p99\"")
 
-(* ------------------------- Telemetry interop -------------------------- *)
+(* The tables behind --stats and `isecustom stats`: only what moved
+   after the baseline shows, and an empty delta says so. *)
+let test_snapshot_tables () =
+  let render d = Format.asprintf "%a" Obs.Snapshot.pp d in
+  let s0 = Obs.Snapshot.take () in
+  let empty = render (Obs.Snapshot.delta ~before:s0 ~after:s0) in
+  check bool "empty telemetry message" true
+    (contains empty "no telemetry recorded");
+  check bool "empty histograms message" true
+    (contains empty "no histograms recorded");
+  Obs.Metrics.inc "t.pp_before";
+  Obs.Metrics.inc_s "t.pp_before_s" 1.;
+  Obs.Metrics.observe "t.pp_before_h" 1.;
+  let baseline = Obs.Snapshot.take () in
+  Obs.Metrics.inc ~by:3. "t.pp_counter";
+  Obs.Metrics.time_s "t.pp_timer" ignore;
+  Obs.Metrics.inc_s "t.pp_timer" 0.5;
+  Obs.Metrics.observe "t.pp_hist" 0.25;
+  let out =
+    render (Obs.Snapshot.delta ~before:baseline ~after:(Obs.Snapshot.take ()))
+  in
+  check bool "counter row" true
+    (contains out (Printf.sprintf "%-32s %14d\n" "t.pp_counter" 3));
+  check bool "timer row in seconds" true
+    (contains out (Printf.sprintf "%-32s %12s s\n" "t.pp_timer" "0.500"));
+  check bool "histogram row" true
+    (contains out (Printf.sprintf "%-32s %8d " "t.pp_hist" 1));
+  check bool "nothing recorded before the baseline" false
+    (contains out "t.pp_before");
+  check bool "no empty-table message" false
+    (contains out "no telemetry recorded" || contains out "no histograms recorded")
 
-let test_telemetry_shim_interop () =
+(* ------------------------------ Interop ------------------------------- *)
+
+let test_label_cells_sum () =
   Obs.Metrics.inc ~labels:[ ("k", "a") ] ~by:2. "t.interop";
   Obs.Metrics.inc ~labels:[ ("k", "b") ] ~by:5. "t.interop";
-  check int "legacy read sums label cells" 7
-    (Engine.Telemetry.counter "t.interop");
-  Engine.Telemetry.incr "t.interop2";
-  check (Alcotest.option eps) "legacy write lands in registry" (Some 1.)
-    (Obs.Metrics.value "t.interop2");
-  Engine.Histogram.observe "t.interop_h" 0.25;
-  (match Obs.Metrics.hist_stats "t.interop_h" with
-  | None -> Alcotest.fail "legacy histogram write missing from registry"
-  | Some h -> check int "one sample" 1 h.Obs.Metrics.count)
+  check eps "family read sums label cells" 7. (Obs.Metrics.sum "t.interop")
 
 (* ----------------------------- Kind clash ----------------------------- *)
 
@@ -468,6 +492,18 @@ let test_solvers_no_kind_clash () =
     check bool "one sample per EDF solve" true (h.Obs.Metrics.count >= 2)
   | None -> Alcotest.fail "edf.dp_cells_per_solve has no samples"
 
+(* Batch.Service.run counts each request under its op; the daemon
+   counts its own daemon_requests_total instead, so this is where the
+   batch family's labeled cells are checked. *)
+let test_batch_requests_exposed () =
+  let reqs = List.filteri (fun i _ -> i < 6) (golden_requests ()) in
+  ignore (Batch.Service.run reqs);
+  let text = Obs.Prometheus.render () in
+  check bool "batch_requests_total has op cells" true
+    (List.exists
+       (String.starts_with ~prefix:"batch_requests_total{op=\"")
+       (String.split_on_char '\n' text))
+
 (* ------------------------------- Serve -------------------------------- *)
 
 let test_serve_roundtrip () =
@@ -532,12 +568,15 @@ let () =
       ( "snapshot",
         [ Alcotest.test_case "delta under pooled workload" `Quick
             test_snapshot_delta_pooled;
-          Alcotest.test_case "json shapes" `Quick test_snapshot_json_shapes ] );
+          Alcotest.test_case "json shapes" `Quick test_snapshot_json_shapes;
+          Alcotest.test_case "stats tables" `Quick test_snapshot_tables ] );
       ( "interop",
-        [ Alcotest.test_case "telemetry and histogram shims" `Quick
-            test_telemetry_shim_interop;
+        [ Alcotest.test_case "label cells sum in family reads" `Quick
+            test_label_cells_sum;
           Alcotest.test_case "solvers write each family with one kind" `Quick
-            test_solvers_no_kind_clash ] );
+            test_solvers_no_kind_clash;
+          Alcotest.test_case "batch requests exposed by op" `Quick
+            test_batch_requests_exposed ] );
       ( "serve",
         [ Alcotest.test_case "http round-trip" `Quick test_serve_roundtrip ] )
     ]

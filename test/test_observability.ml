@@ -1,18 +1,18 @@
 (* Observability layer tests: span nesting and ordering (also across
    Parallel domains), Chrome trace JSON well-formedness, histogram
    percentile accuracy against known distributions, log-level filtering
-   and JSONL sink output, and Telemetry.to_json validity on the edge
-   cases PR 1 got wrong (empty tables, names containing quotes). *)
+   and JSONL sink output, and Obs.Snapshot JSON validity on the edge
+   cases (empty registries, names containing quotes, infinite
+   timers). *)
 
 let check = Alcotest.check
 let bool = Alcotest.bool
 let int = Alcotest.int
 
-(* ------------------------- a tiny JSON parser ------------------------- *)
-(* The container has no JSON library, so the round-trip checks carry
-   their own strict recursive-descent parser.  Failure raises. *)
+(* JSON is read back with the batch/daemon wire parser, which rejects
+   anything RFC 8259 does not allow. *)
 
-type json =
+type json = Check.Repro.json =
   | Null
   | Bool of bool
   | Num of float
@@ -20,135 +20,7 @@ type json =
   | Arr of json list
   | Obj of (string * json) list
 
-exception Bad_json of string
-
-let parse_json s =
-  let n = String.length s in
-  let pos = ref 0 in
-  let fail msg = raise (Bad_json (Printf.sprintf "%s at %d" msg !pos)) in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let expect c =
-    if peek () = Some c then advance ()
-    else fail (Printf.sprintf "expected %c" c)
-  in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-      advance ();
-      skip_ws ()
-    | _ -> ()
-  in
-  let literal word value =
-    String.iter expect word;
-    value
-  in
-  let parse_string () =
-    expect '"';
-    let b = Buffer.create 16 in
-    let rec chars () =
-      match peek () with
-      | None -> fail "unterminated string"
-      | Some '"' -> advance ()
-      | Some '\\' ->
-        advance ();
-        (match peek () with
-         | Some ('"' as c) | Some ('\\' as c) | Some ('/' as c) ->
-           Buffer.add_char b c;
-           advance ()
-         | Some 'n' -> Buffer.add_char b '\n'; advance ()
-         | Some 't' -> Buffer.add_char b '\t'; advance ()
-         | Some 'r' -> Buffer.add_char b '\r'; advance ()
-         | Some 'b' -> Buffer.add_char b '\b'; advance ()
-         | Some 'f' -> Buffer.add_char b '\012'; advance ()
-         | Some 'u' ->
-           advance ();
-           for _ = 1 to 4 do
-             (match peek () with
-              | Some ('0' .. '9' | 'a' .. 'f' | 'A' .. 'F') -> advance ()
-              | _ -> fail "bad \\u escape")
-           done;
-           Buffer.add_char b '?'
-         | _ -> fail "bad escape");
-        chars ()
-      | Some c when Char.code c < 0x20 -> fail "raw control char in string"
-      | Some c ->
-        Buffer.add_char b c;
-        advance ();
-        chars ()
-    in
-    chars ();
-    Buffer.contents b
-  in
-  let parse_number () =
-    let start = !pos in
-    let num_char = function
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
-    in
-    while (match peek () with Some c -> num_char c | None -> false) do
-      advance ()
-    done;
-    match float_of_string_opt (String.sub s start (!pos - start)) with
-    | Some f -> f
-    | None -> fail "bad number"
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | Some '{' ->
-      advance ();
-      skip_ws ();
-      if peek () = Some '}' then begin advance (); Obj [] end
-      else begin
-        let rec members acc =
-          skip_ws ();
-          let key = parse_string () in
-          skip_ws ();
-          expect ':';
-          let v = parse_value () in
-          skip_ws ();
-          match peek () with
-          | Some ',' ->
-            advance ();
-            members ((key, v) :: acc)
-          | Some '}' ->
-            advance ();
-            List.rev ((key, v) :: acc)
-          | _ -> fail "expected , or }"
-        in
-        Obj (members [])
-      end
-    | Some '[' ->
-      advance ();
-      skip_ws ();
-      if peek () = Some ']' then begin advance (); Arr [] end
-      else begin
-        let rec elements acc =
-          let v = parse_value () in
-          skip_ws ();
-          match peek () with
-          | Some ',' ->
-            advance ();
-            elements (v :: acc)
-          | Some ']' ->
-            advance ();
-            List.rev (v :: acc)
-          | _ -> fail "expected , or ]"
-        in
-        Arr (elements [])
-      end
-    | Some '"' -> Str (parse_string ())
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some 'n' -> literal "null" Null
-    | Some _ -> Num (parse_number ())
-    | None -> fail "unexpected end"
-  in
-  let v = parse_value () in
-  skip_ws ();
-  if !pos <> n then fail "trailing garbage";
-  v
+let parse_json = Check.Repro.parse
 
 let member key = function
   | Obj fields -> List.assoc_opt key fields
@@ -286,11 +158,11 @@ let test_chrome_json_round_trip () =
 (* ----------------------------- Histogram ------------------------------ *)
 
 let test_histogram_percentiles () =
-  Engine.Histogram.reset ();
+  Obs.Metrics.reset ~kind:Obs.Metrics.Hist ();
   for v = 1 to 1000 do
-    Engine.Histogram.observe "t.h" (float_of_int v)
+    Obs.Metrics.observe "t.h" (float_of_int v)
   done;
-  match Engine.Histogram.stats "t.h" with
+  match Obs.Metrics.hist_stats "t.h" with
   | None -> Alcotest.fail "stats missing"
   | Some s ->
     check int "count" 1000 s.count;
@@ -303,33 +175,35 @@ let test_histogram_percentiles () =
     check bool "p90 near 900" true (s.p90 >= 810. && s.p90 <= 990.);
     check bool "p99 near 990" true (s.p99 >= 891. && s.p99 <= 1000.);
     check bool "quantiles monotone" true (s.p50 <= s.p90 && s.p90 <= s.p99);
-    (match Engine.Histogram.quantile "t.h" 1.0 with
+    (match Obs.Metrics.hist_quantile "t.h" 1.0 with
      | Some q -> check (Alcotest.float 1e-6) "q=1 clamps to max" 1000. q
      | None -> Alcotest.fail "quantile missing")
 
 let test_histogram_constant_and_empty () =
-  Engine.Histogram.reset ();
+  Obs.Metrics.reset ~kind:Obs.Metrics.Hist ();
   check bool "empty histogram has no stats" true
-    (Engine.Histogram.stats "t.none" = None);
-  for _ = 1 to 5 do Engine.Histogram.observe "t.const" 42. done;
-  (match Engine.Histogram.stats "t.const" with
+    (Obs.Metrics.hist_stats "t.none" = None);
+  for _ = 1 to 5 do Obs.Metrics.observe "t.const" 42. done;
+  (match Obs.Metrics.hist_stats "t.const" with
    | Some s ->
      check (Alcotest.float 1e-6) "constant p50 exact" 42. s.p50;
      check (Alcotest.float 1e-6) "constant p99 exact" 42. s.p99
    | None -> Alcotest.fail "stats missing");
-  Engine.Histogram.observe "t.nan" Float.nan;
+  Obs.Metrics.observe "t.nan" Float.nan;
   check bool "non-finite samples dropped" true
-    (Engine.Histogram.stats "t.nan" = None);
-  Engine.Histogram.reset ();
-  check bool "reset drops histograms" true (Engine.Histogram.all () = [])
+    (Obs.Metrics.hist_stats "t.nan" = None);
+  Obs.Metrics.reset ~kind:Obs.Metrics.Hist ();
+  check bool "reset drops histograms" true
+    (List.for_all
+       (fun (f : Obs.Metrics.family) -> f.fam_kind <> Obs.Metrics.Hist)
+       (Obs.Metrics.dump ()))
 
 let test_histogram_json () =
-  Engine.Histogram.reset ();
-  check bool "empty registry is valid JSON" true
-    (parse_json (Engine.Histogram.to_json ()) = Obj []);
-  Engine.Histogram.observe {|na"me|} 3.5;
-  let j = parse_json (Engine.Histogram.to_json ()) in
-  match member {|na"me|} j with
+  Obs.Metrics.reset ~kind:Obs.Metrics.Hist ();
+  let json () = parse_json (Obs.Snapshot.histograms_json (Obs.Snapshot.take ())) in
+  check bool "empty registry is valid JSON" true (json () = Obj []);
+  Obs.Metrics.observe {|na"me|} 3.5;
+  match member {|na"me|} (json ()) with
   | Some h ->
     check bool "count serialised" true (member "count" h = Some (Num 1.))
   | None -> Alcotest.fail "quoted histogram name lost"
@@ -431,13 +305,14 @@ let test_log_jsonl_sink () =
 (* ----------------------------- Telemetry ------------------------------ *)
 
 let test_telemetry_json_valid () =
-  Engine.Telemetry.reset ();
-  (match parse_json (Engine.Telemetry.to_json ()) with
+  Obs.Metrics.reset ~kind:Obs.Metrics.Counter ();
+  let json () = parse_json (Obs.Snapshot.telemetry_json (Obs.Snapshot.take ())) in
+  (match json () with
    | Obj [ ("counters", Obj []); ("timers", Obj []) ] -> ()
    | _ -> Alcotest.fail "empty tables must serialise to empty objects");
-  Engine.Telemetry.add {|weird "name"|} 3;
-  Engine.Telemetry.add_time "t.inf" Float.infinity;
-  let j = parse_json (Engine.Telemetry.to_json ()) in
+  Obs.Metrics.inc ~by:3. {|weird "name"|};
+  Obs.Metrics.inc_s "t.inf" Float.infinity;
+  let j = json () in
   (match member "counters" j with
    | Some counters ->
      check bool "quoted counter name survives" true
@@ -448,13 +323,13 @@ let test_telemetry_json_valid () =
      check bool "non-finite timer becomes null" true
        (member "t.inf" timers = Some Null)
    | None -> Alcotest.fail "timers missing");
-  Engine.Telemetry.reset ()
+  Obs.Metrics.reset ~kind:Obs.Metrics.Counter ()
 
 (* ------------------------- pipeline end-to-end ------------------------ *)
 
 let test_pipeline_span_tree () =
   with_tracing @@ fun () ->
-  Engine.Histogram.reset ();
+  Obs.Metrics.reset ~kind:Obs.Metrics.Hist ();
   ignore
     (Ise.Curve.generate ~params:Ise.Curve.small (Kernels.find "crc32")
       : Isa.Config.t);
@@ -479,7 +354,7 @@ let test_pipeline_span_tree () =
   check bool "selection spans under generate" true
     (selects <> [] && List.for_all (fun s -> under generate s) selects);
   (* the per-curve latency histogram fed by the same run *)
-  match Engine.Histogram.stats "curve.generate_s" with
+  match Obs.Metrics.hist_stats "curve.generate_s" with
   | Some s -> check int "one latency sample" 1 s.count
   | None -> Alcotest.fail "curve.generate_s histogram missing"
 

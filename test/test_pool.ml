@@ -196,18 +196,18 @@ let test_permanent_failure_isolated_under_stealing () =
 (* ----------------------------- telemetry ----------------------------- *)
 
 let test_pool_telemetry () =
-  let spawned = Engine.Telemetry.counter "pool.spawned" in
-  let reused = Engine.Telemetry.counter "pool.reused" in
-  let items = Engine.Telemetry.counter "pool.items" in
+  let spawned = int_of_float (Obs.Metrics.sum "pool.spawned") in
+  let reused = int_of_float (Obs.Metrics.sum "pool.reused") in
+  let items = int_of_float (Obs.Metrics.sum "pool.items") in
   Pool.with_pool ~jobs:3 @@ fun pool ->
   ignore (Pool.map pool succ (List.init 30 Fun.id));
   ignore (Pool.map pool succ (List.init 30 Fun.id));
   check int "two domains spawned, once" (spawned + 2)
-    (Engine.Telemetry.counter "pool.spawned");
+    (int_of_float (Obs.Metrics.sum "pool.spawned"));
   check bool "both ops reused the resident domains" true
-    (Engine.Telemetry.counter "pool.reused" >= reused + 2);
+    (int_of_float (Obs.Metrics.sum "pool.reused") >= reused + 2);
   check bool "work items counted" true
-    (Engine.Telemetry.counter "pool.items" >= items + 60)
+    (int_of_float (Obs.Metrics.sum "pool.items") >= items + 60)
 
 (* ------------------------- batch byte-identity ------------------------ *)
 

@@ -5,6 +5,12 @@
 let check = Alcotest.check
 let bool = Alcotest.bool
 let int = Alcotest.int
+let counter name = int_of_float (Obs.Metrics.sum name)
+
+let contains hay needle =
+  let n = String.length hay and m = String.length needle in
+  let rec at i = i + m <= n && (String.sub hay i m = needle || at (i + 1)) in
+  at 0
 
 let curve base pts = Isa.Config.of_points ~base_cycles:base pts
 let task name period base pts = Rt.Task.make ~name ~period (curve base pts)
@@ -89,7 +95,7 @@ let test_fuel_partial_is_reproducible () =
 
 let test_deadline_stops_pathological_search () =
   let tasks = pathological_tasks () in
-  let exhausted_before = Engine.Telemetry.counter "guard.exhausted" in
+  let exhausted_before = counter "guard.exhausted" in
   let t0 = Unix.gettimeofday () in
   let got, stats =
     Core.Rms_select.run_instrumented
@@ -104,7 +110,7 @@ let test_deadline_stops_pathological_search () =
    | s -> Alcotest.failf "expected deadline exhaustion, got %s"
             (Engine.Guard.string_of_status s));
   check bool "guard.exhausted counted" true
-    (Engine.Telemetry.counter "guard.exhausted" > exhausted_before);
+    (counter "guard.exhausted" > exhausted_before);
   match got with
   | None -> Alcotest.fail "no incumbent after 0.25s on a feasible instance"
   | Some inc ->
@@ -201,6 +207,29 @@ let test_unsupported_eps_is_a_line_error () =
   check (Alcotest.list Alcotest.string) "the edf line is answered"
     (List.map Batch.Service.respond oks) lines
 
+(* A request line carrying a raw (unescaped) tab inside a string is not
+   JSON: the batch answers it with a per-line error and still answers
+   every other line. *)
+let test_raw_control_char_is_a_line_error () =
+  let line id =
+    Printf.sprintf
+      {|{"id": "%s", "op": "edf", "instance": {"budget": 8, "eps": 0.5, "tasks": [{"period": 100, "base": 50, "points": [{"area": 5, "cycles": 30}, {"area": 10, "cycles": 20}]}, {"period": 80, "base": 40, "points": [{"area": 4, "cycles": 25}]}], "dfg": {"kinds": [], "edges": [], "live_outs": []}}}|}
+      id
+  in
+  let parsed =
+    List.map Batch.Protocol.parse_request [ line "a"; line "b\tc"; line "d" ]
+  in
+  let oks = List.filter_map Result.to_option parsed in
+  check Alcotest.int "the other lines parse" 2 (List.length oks);
+  (match List.nth parsed 1 with
+   | Error msg ->
+     check bool "error names the control character" true
+       (contains msg "control character")
+   | Ok _ -> Alcotest.fail "raw tab inside a string accepted");
+  let lines, _ = Batch.Service.run oks in
+  check (Alcotest.list Alcotest.string) "the other lines are answered"
+    (List.map Batch.Service.respond oks) lines
+
 let test_guarded_enumeration_is_prefix () =
   match Kernels.find_opt "adpcm_enc" with
   | None -> Alcotest.fail "adpcm_enc kernel missing"
@@ -261,11 +290,11 @@ let test_injected_truncation_reads_as_corrupt () =
   with_fault_spec "seed=5,cache.truncate=1x1" (fun () ->
       Engine.Cache.store ~namespace:"resilience" ~key:"t" value;
       check int "truncation fired" 1 (Engine.Fault.fired "cache.truncate");
-      let corrupt_before = Engine.Telemetry.counter "cache.corrupt" in
+      let corrupt_before = counter "cache.corrupt" in
       check bool "torn entry reads as a miss" true
         (Engine.Cache.find ~namespace:"resilience" ~key:"t" () = None);
       check bool "torn entry counted as corruption" true
-        (Engine.Telemetry.counter "cache.corrupt" > corrupt_before);
+        (counter "cache.corrupt" > corrupt_before);
       (* recompute-and-store repairs the entry (the fire cap is spent) *)
       Engine.Cache.store ~namespace:"resilience" ~key:"t" value;
       check bool "repaired entry reads back" true
@@ -274,11 +303,11 @@ let test_injected_truncation_reads_as_corrupt () =
 let test_injected_write_failure_degrades () =
   with_scratch_cache @@ fun () ->
   with_fault_spec "seed=6,cache.write=1x1" (fun () ->
-      let failed_before = Engine.Telemetry.counter "cache.write_failed" in
+      let failed_before = counter "cache.write_failed" in
       (* must not raise: the cache degrades to in-memory-only *)
       Engine.Cache.store ~namespace:"resilience" ~key:"w" [ 1; 2 ];
       check bool "write failure counted" true
-        (Engine.Telemetry.counter "cache.write_failed" > failed_before);
+        (counter "cache.write_failed" > failed_before);
       check bool "no tmp file leaked" true
         (Sys.readdir (Engine.Cache.dir ())
          |> Array.for_all (fun f ->
@@ -289,7 +318,7 @@ let test_injected_write_failure_degrades () =
 
 let test_map_result_retries_transient_crash () =
   with_fault_spec "seed=9,parallel.worker=1x1" (fun () ->
-      let recovered_before = Engine.Telemetry.counter "parallel.recovered" in
+      let recovered_before = counter "parallel.recovered" in
       let outcomes =
         Engine.Parallel.Pool.with_pool ~jobs:1 @@ fun pool ->
         Engine.Parallel.Pool.map_result pool ~attempts:2
@@ -300,7 +329,7 @@ let test_map_result_retries_transient_crash () =
         (outcomes = [ Ok 10; Ok 20; Ok 30 ]);
       check int "crash fired once" 1 (Engine.Fault.fired "parallel.worker");
       check bool "recovery counted" true
-        (Engine.Telemetry.counter "parallel.recovered" > recovered_before))
+        (counter "parallel.recovered" > recovered_before))
 
 let test_map_result_isolates_permanent_failure () =
   let outcomes =
@@ -443,6 +472,8 @@ let () =
             test_tiny_eps_approx_is_partial;
           Alcotest.test_case "unsupported eps is a per-line error" `Quick
             test_unsupported_eps_is_a_line_error;
+          Alcotest.test_case "raw control character is a per-line error" `Quick
+            test_raw_control_char_is_a_line_error;
           Alcotest.test_case "guarded enumeration is a prefix" `Quick
             test_guarded_enumeration_is_prefix ] );
       ( "fault",
