@@ -2,7 +2,7 @@
 # ocamlformat is available — the sealed container does not ship it),
 # and the full test suite.
 
-.PHONY: all build test fmt check golden-update fuzz isegen-fuzz faults parallel-stress metrics-smoke daemon-smoke chaos clean
+.PHONY: all build test fmt check golden-update fuzz isegen-fuzz reconfig-fuzz faults parallel-stress metrics-smoke daemon-smoke chaos clean
 
 all: build
 
@@ -45,6 +45,13 @@ fuzz:
 # auto-dispatch switch and the hardware cost backends.
 isegen-fuzz:
 	dune exec bin/isecustom.exe -- check --suite isegen --seed $(SEED) \
+	  --budget $(BUDGET)
+
+# The Chapter 6-7 differential suite alone: every reconfig and
+# rtreconfig solver against its kept reference (Check.Oracle), and the
+# index-based evaluators against Problem/Model on random placements.
+reconfig-fuzz:
+	dune exec bin/isecustom.exe -- check --suite reconfig --seed $(SEED) \
 	  --budget $(BUDGET)
 
 # Fault-injection run (lib/engine/fault): first fire every injection

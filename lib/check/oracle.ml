@@ -492,3 +492,529 @@ module Isegen_ref = struct
       pool;
     Hashtbl.fold (fun _ ci acc -> ci :: acc) found [] |> List.sort by_quality
 end
+
+(* ---------------------------------------------------------------- *)
+(* Chapters 6 and 7 before the shared knapsack kernel                *)
+(* ---------------------------------------------------------------- *)
+
+module Reconfig_ref = struct
+  (* Algorithm 7: group-knapsack DP over the area budget — each loop picks
+     exactly one version; maximise total gain. *)
+  let spatial_select ~loops ~area =
+    if area < 0 then invalid_arg "spatial_select: negative area";
+    let areas =
+      List.concat_map
+        (fun (l : Reconfig.Problem.hot_loop) ->
+          Array.to_list l.versions
+          |> List.filter_map (fun (v : Reconfig.Problem.version) ->
+                 if v.area > 0 then Some v.area else None))
+        loops
+    in
+    let delta = max 1 (Util.Numeric.gcd_list (area :: areas)) in
+    let cells = (area / delta) + 1 in
+    let best = Array.make cells 0 in
+    let choice = Array.make cells [] in
+    List.iter
+      (fun (l : Reconfig.Problem.hot_loop) ->
+        let next = Array.copy best in
+        let next_choice = Array.map (fun c -> (l.name, 0) :: c) choice in
+        for cell = 0 to cells - 1 do
+          Array.iteri
+            (fun j (v : Reconfig.Problem.version) ->
+              if j > 0 && v.area <= cell * delta then begin
+                let from = cell - (v.area + delta - 1) / delta in
+                let g = best.(from) + v.gain in
+                if g > next.(cell) then begin
+                  next.(cell) <- g;
+                  next_choice.(cell) <- (l.name, j) :: choice.(from)
+                end
+              end)
+            l.versions
+        done;
+        Array.blit next 0 best 0 cells;
+        Array.blit next_choice 0 choice 0 cells)
+      loops;
+    List.rev choice.(cells - 1)
+
+  let rcg (t : Reconfig.Problem.t) ~keep ~weight_of =
+    let kept =
+      List.filter (fun (l : Reconfig.Problem.hot_loop) -> keep l.name) t.loops
+      |> List.map (fun (l : Reconfig.Problem.hot_loop) -> l.name)
+      |> Array.of_list
+    in
+    let index name =
+      let rec find i = if kept.(i) = name then i else find (i + 1) in
+      find 0
+    in
+    let edges =
+      Ir.Trace.pair_counts ~keep:(fun n -> Array.exists (( = ) n) kept) t.trace
+      |> List.map (fun ((a, b), w) -> (index a, index b, w))
+    in
+    let vertex_weights = Array.map weight_of kept in
+    (kept, Partition.Graph.make ~vertex_weights ~edges)
+
+  (* Local spatial patch-up: re-select versions for the loops of each
+     configuration under the real per-configuration capacity; loops that
+     fall back to version 0 leave the configuration. *)
+  let local_spatial (t : Reconfig.Problem.t) groups =
+    let version_of = ref [] and config_of = ref [] in
+    let seen = Hashtbl.create 16 in
+    List.iteri
+      (fun cid names ->
+        let loops = List.map (Reconfig.Problem.find_loop t) names in
+        List.iter
+          (fun (name, j) ->
+            Hashtbl.replace seen name ();
+            version_of := (name, j) :: !version_of;
+            if j > 0 then config_of := (name, cid) :: !config_of)
+          (spatial_select ~loops ~area:t.max_area))
+      groups;
+    (* loops not in any group run in software *)
+    List.iter
+      (fun (l : Reconfig.Problem.hot_loop) ->
+        if not (Hashtbl.mem seen l.name) then
+          version_of := (l.name, 0) :: !version_of)
+      t.loops;
+    { Reconfig.Problem.version_of = !version_of; config_of = !config_of }
+
+  let groups_of_assignment names assignment k =
+    List.init k (fun c ->
+        Array.to_list names
+        |> List.filteri (fun i _ -> assignment.(i) = c))
+    |> List.filter (fun g -> g <> [])
+
+  let iterative ?(seed = 1) ?(imbalances = [ 0.25; 1.0; 3.0 ]) (t : Reconfig.Problem.t) =
+    let n = List.length t.loops in
+    let best = ref (Reconfig.Problem.software_placement t) in
+    let best_gain = ref (Reconfig.Problem.net_gain t !best) in
+    let consider placement =
+      if Reconfig.Problem.feasible t placement then begin
+        let g = Reconfig.Problem.net_gain t placement in
+        if g > !best_gain then begin
+          best := placement;
+          best_gain := g
+        end
+      end
+    in
+    (* The k-way partitioner is sensitive to its seed and, much more, to
+       the balance constraint: equal-weight parts are the thesis's
+       heuristic default, but when a few loops dominate the area the best
+       clusterings are lopsided.  A small portfolio costs little (the
+       spatial DPs dominate the runtime). *)
+    let portfolio =
+      List.concat_map (fun imb -> [ (seed, imb); (seed + 13, imb) ]) imbalances
+    in
+    for k = 1 to max 1 n do
+      (* Phase 1: global spatial partitioning over a virtual area k·MaxA. *)
+      let global = spatial_select ~loops:t.loops ~area:(k * t.max_area) in
+      let hw = List.filter (fun (_, j) -> j > 0) global in
+      (* Phase 2/3 with the CIS selection. *)
+      (if hw <> [] then begin
+         let keep name = List.mem_assoc name hw in
+         let weight_of name =
+           let l = Reconfig.Problem.find_loop t name in
+           l.versions.(List.assoc name hw).area
+         in
+         let names, graph = rcg t ~keep ~weight_of in
+         let k' = min k (Array.length names) in
+         List.iter
+           (fun (seed, imbalance) ->
+             let r = Partition.Kway.partition ~imbalance ~seed ~k:k' graph in
+             consider
+               (local_spatial t
+                  (groups_of_assignment names r.Partition.Kway.assignment k')))
+           portfolio
+       end);
+      (* Phase 2/3 ignoring the CIS selection: unit weights, all loops. *)
+      let names, graph = rcg t ~keep:(fun _ -> true) ~weight_of:(fun _ -> 1) in
+      if Array.length names > 0 then begin
+        let k' = min k (Array.length names) in
+        List.iter
+          (fun (seed, imbalance) ->
+            let r = Partition.Kway.partition ~imbalance ~seed ~k:k' graph in
+            consider
+              (local_spatial t
+                 (groups_of_assignment names r.Partition.Kway.assignment k')))
+          portfolio
+      end
+    done;
+    !best
+
+  (* Algorithm 8. *)
+  let greedy (t : Reconfig.Problem.t) =
+    let committed = ref [] (* (name, version, config) *) in
+    let current = ref [] (* (name, version) of the configuration being built *)
+    and current_id = ref 0 in
+    let selected name =
+      List.exists (fun (n, _, _) -> n = name) !committed
+      || List.mem_assoc name !current
+    in
+    let current_area () =
+      Util.Numeric.sum_by
+        (fun (name, j) -> (Reconfig.Problem.find_loop t name).versions.(j).area)
+        !current
+    in
+    let reconfigs_with extra =
+      let config_of name =
+        match List.find_opt (fun (n, _, _) -> n = name) !committed with
+        | Some (_, _, c) -> Some c
+        | None ->
+          if List.mem_assoc name !current then Some !current_id
+          else if extra = Some name then Some !current_id
+          else None
+      in
+      Ir.Trace.reconfigurations ~config_of t.trace
+    in
+    let finished = ref false in
+    while not !finished do
+      let base_reconfigs = reconfigs_with None in
+      let best = ref None in
+      List.iter
+        (fun (l : Reconfig.Problem.hot_loop) ->
+          if not (selected l.name) then begin
+            let extra_cost =
+              (reconfigs_with (Some l.name) - base_reconfigs) * t.reconfig_cost
+            in
+            Array.iteri
+              (fun j (v : Reconfig.Problem.version) ->
+                if j > 0 && v.area <= t.max_area - current_area () then begin
+                  let expected = v.gain - extra_cost in
+                  if expected > 0 then
+                    match !best with
+                    | Some (bg, _, _) when bg >= expected -> ()
+                    | Some _ | None -> best := Some (expected, l.name, j)
+                end)
+              l.versions
+          end)
+        t.loops;
+      match !best with
+      | Some (_, name, j) -> current := (name, j) :: !current
+      | None ->
+        if !current <> [] then begin
+          committed :=
+            !committed @ List.map (fun (n, j) -> (n, j, !current_id)) !current;
+          current := [];
+          incr current_id
+        end
+        else finished := true
+    done;
+    let version_of =
+      List.map
+        (fun (l : Reconfig.Problem.hot_loop) ->
+          match List.find_opt (fun (n, _, _) -> n = l.name) !committed with
+          | Some (_, j, _) -> (l.name, j)
+          | None -> (l.name, 0))
+        t.loops
+    in
+    let config_of = List.map (fun (n, _, c) -> (n, c)) !committed in
+    { Reconfig.Problem.version_of; config_of }
+
+  (* Set-partition enumeration (restricted-growth strings). *)
+  let exhaustive ?(max_partitions = 500_000) (t : Reconfig.Problem.t) =
+    let names = Array.of_list (List.map (fun (l : Reconfig.Problem.hot_loop) -> l.name) t.loops) in
+    let n = Array.length names in
+    (* Bell number check against the cap. *)
+    let bell n =
+      let b = Array.make (n + 1) 0. in
+      b.(0) <- 1.;
+      for i = 1 to n do
+        (* B(i) = Σ C(i-1,k) B(k) *)
+        let sum = ref 0. in
+        let c = ref 1. in
+        for k = 0 to i - 1 do
+          sum := !sum +. (!c *. b.(k));
+          c := !c *. float_of_int (i - 1 - k) /. float_of_int (k + 1)
+        done;
+        b.(i) <- !sum
+      done;
+      b.(n)
+    in
+    if bell n > float_of_int max_partitions then None
+    else begin
+      let best = ref (Reconfig.Problem.software_placement t) in
+      let best_gain = ref (Reconfig.Problem.net_gain t !best) in
+      let assignment = Array.make n 0 in
+      (* The same loop group recurs in many set partitions; memoise its
+         per-configuration version selection. *)
+      let memo = Hashtbl.create 4096 in
+      let select_versions group =
+        let key = String.concat "|" group in
+        match Hashtbl.find_opt memo key with
+        | Some sel -> sel
+        | None ->
+          let loops = List.map (Reconfig.Problem.find_loop t) group in
+          let sel = spatial_select ~loops ~area:t.max_area in
+          Hashtbl.add memo key sel;
+          sel
+      in
+      let local_spatial_memo groups =
+        let version_of = ref [] and config_of = ref [] in
+        List.iteri
+          (fun cid group ->
+            List.iter
+              (fun (name, j) ->
+                version_of := (name, j) :: !version_of;
+                if j > 0 then config_of := (name, cid) :: !config_of)
+              (select_versions group))
+          groups;
+        { Reconfig.Problem.version_of = !version_of; config_of = !config_of }
+      in
+      let rec enumerate i max_used =
+        if i = n then begin
+          let k = max_used + 1 in
+          let groups = groups_of_assignment names assignment k in
+          let placement = local_spatial_memo groups in
+          if Reconfig.Problem.feasible t placement then begin
+            let g = Reconfig.Problem.net_gain t placement in
+            if g > !best_gain then begin
+              best := placement;
+              best_gain := g
+            end
+          end
+        end
+        else
+          for c = 0 to min (max_used + 1) (n - 1) do
+            assignment.(i) <- c;
+            enumerate (i + 1) (max max_used c)
+          done
+      in
+      if n > 0 then enumerate 0 (-1);
+      Some !best
+    end
+end
+
+module Rtreconfig_ref = struct
+  (* Group knapsack over a shared area budget: pick one version per task
+     minimising total utilization; [reload] cycles are added to any
+     hardware-mapped task's job. *)
+  let min_utilization_versions ~tasks ~area ~reload =
+    let areas =
+      List.concat_map
+        (fun (tk : Rtreconfig.Model.task) ->
+          Array.to_list tk.versions
+          |> List.filter_map (fun (v : Rtreconfig.Model.version) ->
+                 if v.area > 0 then Some v.area else None))
+        tasks
+    in
+    let delta = max 1 (Util.Numeric.gcd_list (area :: areas)) in
+    let cells = (area / delta) + 1 in
+    let best = Array.make cells 0. in
+    let choice : (string * int) list array = Array.make cells [] in
+    List.iter
+      (fun (tk : Rtreconfig.Model.task) ->
+        let base = Array.copy best in
+        let base_choice = Array.copy choice in
+        for cell = 0 to cells - 1 do
+          best.(cell) <- base.(cell);
+          choice.(cell) <- (tk.name, 0) :: base_choice.(cell)
+        done;
+        for cell = 0 to cells - 1 do
+          Array.iteri
+            (fun j (v : Rtreconfig.Model.version) ->
+              if j > 0 && v.area <= cell * delta then begin
+                let from = cell - Util.Numeric.ceil_div v.area delta in
+                let benefit =
+                  float_of_int (v.gain - reload tk) /. float_of_int tk.period
+                in
+                let total = base.(from) +. benefit in
+                if total > best.(cell) then begin
+                  best.(cell) <- total;
+                  choice.(cell) <- (tk.name, j) :: base_choice.(from)
+                end
+              end)
+            tk.versions
+        done)
+      tasks;
+    choice.(cells - 1)
+
+  let placement_of_versions versions ~group_of =
+    { Rtreconfig.Model.version_of = versions;
+      config_of =
+        List.filter_map
+          (fun (name, j) -> if j > 0 then Some (name, group_of name) else None)
+          versions }
+
+  let static (t : Rtreconfig.Model.t) =
+    let versions =
+      min_utilization_versions ~tasks:t.tasks ~area:t.max_area ~reload:(fun _ -> 0)
+    in
+    placement_of_versions versions ~group_of:(fun _ -> 0)
+
+  let optimal ?(max_nodes = 2_000_000) (t : Rtreconfig.Model.t) =
+    let tasks =
+      Array.of_list
+        (List.sort (fun (a : Rtreconfig.Model.task) b -> compare a.period b.period) t.tasks)
+    in
+    let n = Array.length tasks in
+    let best_u = ref infinity and best = ref (static t) in
+    (let u0 = Rtreconfig.Model.utilization t !best in
+     best_u := u0);
+    let version_idx = Array.make n 0 in
+    let group_idx = Array.make n (-1) in
+    let group_area = Array.make (max 1 n) 0 in
+    let nodes = ref 0 in
+    (* optimistic bound: assigned tasks at chosen gains without reloads,
+       remaining tasks at their best gains without reloads *)
+    let suffix_best = Array.make (n + 1) 0. in
+    for i = n - 1 downto 0 do
+      let tk = tasks.(i) in
+      let best_gain =
+        Array.fold_left (fun acc (v : Rtreconfig.Model.version) -> max acc v.gain) 0 tk.versions
+      in
+      suffix_best.(i) <-
+        suffix_best.(i + 1)
+        +. (float_of_int (tk.wcet - best_gain) /. float_of_int tk.period)
+    done;
+    let rec search i partial_u max_group =
+      incr nodes;
+      if !nodes < max_nodes then begin
+        if i = n then begin
+          let placement =
+            placement_of_versions
+              (Array.to_list (Array.mapi (fun k j -> (tasks.(k).Rtreconfig.Model.name, j)) version_idx))
+              ~group_of:(fun name ->
+                let rec find k = if tasks.(k).Rtreconfig.Model.name = name then group_idx.(k) else find (k + 1) in
+                find 0)
+          in
+          let u = Rtreconfig.Model.utilization t placement in
+          if u < !best_u then begin
+            best_u := u;
+            best := placement
+          end
+        end
+        else if partial_u +. suffix_best.(i) < !best_u then begin
+          let tk = tasks.(i) in
+          (* software option *)
+          version_idx.(i) <- 0;
+          group_idx.(i) <- -1;
+          search (i + 1) (partial_u +. (float_of_int tk.wcet /. float_of_int tk.period)) max_group;
+          (* hardware options: version j in group g (canonical numbering) *)
+          Array.iteri
+            (fun j (v : Rtreconfig.Model.version) ->
+              if j > 0 then
+                for g = 0 to min (max_group + 1) (n - 1) do
+                  if group_area.(g) + v.area <= t.max_area then begin
+                    version_idx.(i) <- j;
+                    group_idx.(i) <- g;
+                    group_area.(g) <- group_area.(g) + v.area;
+                    let contribution =
+                      float_of_int (tk.wcet - v.gain) /. float_of_int tk.period
+                    in
+                    search (i + 1) (partial_u +. contribution) (max max_group g);
+                    group_area.(g) <- group_area.(g) - v.area
+                  end
+                done)
+            tk.versions;
+          version_idx.(i) <- 0;
+          group_idx.(i) <- -1
+        end
+      end
+    in
+    search 0 0. (-1);
+    !best
+
+  (* The near-optimal pseudo-polynomial algorithm, reconstructed as an
+     enumeration over contiguous-by-period groupings (tasks with similar
+     rates interleave most, so they belong together): for every split of
+     the period-sorted task list into at most [max_groups] runs, versions
+     are selected per run by the utilization knapsack under the
+     per-configuration capacity, with reload estimates refined in a second
+     pass; the best exactly-evaluated placement (including the static
+     seed) wins. *)
+  let max_groups = 4
+
+  let contiguous_partitions n k_max =
+    (* lists of run lengths summing to n, at most k_max runs *)
+    let rec build remaining k =
+      if remaining = 0 then [ [] ]
+      else if k = 0 then []
+      else
+        List.concat_map
+          (fun len ->
+            List.map (fun rest -> len :: rest) (build (remaining - len) (k - 1)))
+          (List.init remaining (fun i -> i + 1))
+    in
+    build n k_max
+
+  let dp (t : Rtreconfig.Model.t) =
+    let best = ref (static t) in
+    let best_u = ref (Rtreconfig.Model.utilization t !best) in
+    let consider p =
+      if Rtreconfig.Model.feasible t p then begin
+        let u = Rtreconfig.Model.utilization t p in
+        if u < !best_u then begin
+          best := p;
+          best_u := u
+        end
+      end
+    in
+    let tasks =
+      Array.of_list
+        (List.sort (fun (a : Rtreconfig.Model.task) b -> compare a.period b.period) t.tasks)
+    in
+    let n = Array.length tasks in
+    if n > 0 then
+      List.iter
+        (fun lengths ->
+          (* runs as index ranges *)
+          let runs =
+            List.rev
+              (snd
+                 (List.fold_left
+                    (fun (start, acc) len -> (start + len, (start, len) :: acc))
+                    (0, []) lengths))
+          in
+          let group_of_index i =
+            let rec find g = function
+              | (start, len) :: rest ->
+                if i >= start && i < start + len then g else find (g + 1) rest
+              | [] -> assert false
+            in
+            find 0 runs
+          in
+          (* Two selection passes: reload estimates first assume every task
+             outside the run is hardware-mapped, then use the actual
+             hardware set of the first pass. *)
+          let select hw_outside =
+            List.concat_map
+              (fun (start, len) ->
+                let members =
+                  List.init len (fun j -> tasks.(start + j))
+                in
+                let reload (tk : Rtreconfig.Model.task) =
+                  if List.length runs = 1 then 0
+                  else begin
+                    let i =
+                      let rec find k = if tasks.(k).Rtreconfig.Model.name = tk.name then k else find (k + 1) in
+                      find 0
+                    in
+                    let own = group_of_index i in
+                    let preempts = ref 0 in
+                    Array.iteri
+                      (fun j (other : Rtreconfig.Model.task) ->
+                        if
+                          group_of_index j <> own
+                          && hw_outside other.name
+                          && other.period < tk.period
+                        then
+                          preempts :=
+                            !preempts + (2 * Util.Numeric.ceil_div tk.period other.period))
+                      tasks;
+                    t.reconfig_cost * (1 + !preempts)
+                  end
+                in
+                min_utilization_versions ~tasks:members ~area:t.max_area ~reload)
+              runs
+          in
+          let pass1 = select (fun _ -> true) in
+          let hw1 name = match List.assoc_opt name pass1 with Some j -> j > 0 | None -> false in
+          let pass2 = select hw1 in
+          let group_of_name name =
+            let rec find k = if tasks.(k).Rtreconfig.Model.name = name then k else find (k + 1) in
+            group_of_index (find 0)
+          in
+          consider (placement_of_versions pass1 ~group_of:group_of_name);
+          consider (placement_of_versions pass2 ~group_of:group_of_name))
+        (contiguous_partitions n (min n max_groups));
+    !best
+end

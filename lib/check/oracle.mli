@@ -110,3 +110,39 @@ module Isegen_ref : sig
     Ir.Dfg.t ->
     Isa.Custom_inst.t list
 end
+
+(** The Chapter 6 partitioning algorithms as they stood before the
+    shared knapsack kernel and the index-based evaluation: a fresh DP
+    row copy and a cons list per cell, placements scored through
+    {!Reconfig.Problem.feasible} and {!Reconfig.Problem.net_gain} over
+    association lists, and a string-keyed memo in the exhaustive search.
+    The differential references for {!Reconfig.Algorithms}, which must
+    return equal placements (list order included). *)
+module Reconfig_ref : sig
+  val spatial_select :
+    loops:Reconfig.Problem.hot_loop list -> area:int -> (string * int) list
+
+  val iterative :
+    ?seed:int -> ?imbalances:float list -> Reconfig.Problem.t -> Reconfig.Problem.placement
+
+  val greedy : Reconfig.Problem.t -> Reconfig.Problem.placement
+
+  val exhaustive :
+    ?max_partitions:int -> Reconfig.Problem.t -> Reconfig.Problem.placement option
+end
+
+(** The Chapter 7 solvers as they stood before the shared knapsack
+    kernel: the utilisation knapsack with [reload] called per cell and
+    version, and a branch-and-bound that names and evaluates every
+    leaf through {!Rtreconfig.Model.utilization}.  The differential
+    references for {!Rtreconfig.Solvers}. *)
+module Rtreconfig_ref : sig
+  val min_utilization_versions :
+    tasks:Rtreconfig.Model.task list ->
+    area:int ->
+    reload:(Rtreconfig.Model.task -> int) ->
+    (string * int) list
+
+  val dp : Rtreconfig.Model.t -> Rtreconfig.Model.placement
+  val optimal : ?max_nodes:int -> Rtreconfig.Model.t -> Rtreconfig.Model.placement
+end

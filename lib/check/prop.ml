@@ -937,6 +937,194 @@ let identification_matches_reference =
   }
 
 (* ---------------------------------------------------------------- *)
+(* reconfig                                                         *)
+(* ---------------------------------------------------------------- *)
+
+(* The Chapter 6-7 instances are drawn from a generator seeded by the
+   whole instance, so every fuzz seed reaches many of them. *)
+let chapter_prng inst = Util.Prng.create (Hashtbl.hash (Instance.to_json inst))
+
+(* A Table 6.1 synthetic problem of 2-9 loops, with the capacity and
+   the reload cost varied.  One draw in three replaces every version's
+   gain by its rank, so equal totals, and with them the solvers' tie
+   rules, are common. *)
+let synthetic_problem prng ~max_loops =
+  let loops = Util.Prng.in_range prng 2 max_loops in
+  let p = Reconfig.Synthetic.generate ~seed:(Util.Prng.int prng 100_000) ~loops in
+  let unit = Util.Prng.choose prng [| 0; 0; 1; 700 |] in
+  let ranked (l : Reconfig.Problem.hot_loop) =
+    Reconfig.Problem.loop l.name
+      (List.tl (Array.to_list (Array.mapi (fun j (v : Reconfig.Problem.version) -> (j * unit, v.area)) l.versions)))
+  in
+  { p with
+    Reconfig.Problem.loops = (if unit = 0 then p.loops else List.map ranked p.loops);
+    max_area = Util.Prng.choose prng [| 40; 128; 256 |];
+    reconfig_cost = Util.Prng.choose prng [| 0; 1; 500; 5000 |] }
+
+(* A Figure 7.4 task set of 2-6 tasks over real kernel curves; one draw
+   in three gives every task one period and each version its rank as
+   gain, so that equal utilisations are common. *)
+let chapter7_model prng =
+  let m =
+    Experiments.Ch7.instance ~seed:(Util.Prng.int prng 100_000)
+      ~n_tasks:(Util.Prng.in_range prng 2 6)
+      ~max_area:(Util.Prng.choose prng [| 100; 150; 200; 300; 400; 600 |])
+      ~reconfig_cost:(Util.Prng.choose prng [| 0; 500; 2000 |])
+      ~u:(Util.Prng.choose prng [| 0.9; 1.08; 1.1 |])
+  in
+  if Util.Prng.int prng 3 > 0 then m
+  else
+    let ranked (tk : Rtreconfig.Model.task) =
+      Rtreconfig.Model.task ~name:tk.name ~period:64 ~wcet:16
+        (List.tl
+           (Array.to_list
+              (Array.mapi (fun j (v : Rtreconfig.Model.version) -> (j, v.area)) tk.versions)))
+    in
+    { m with
+      Rtreconfig.Model.tasks = List.map ranked m.tasks;
+      reconfig_cost = Util.Prng.choose prng [| 0; 1; 8 |] }
+
+let same_float a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+(* Every Chapter 6 algorithm against {!Oracle.Reconfig_ref}: equal
+   placements, list order included, and equal net gains. *)
+let reconfig_matches_reference =
+  { name = "reconfig_matches_reference";
+    suite = "reconfig";
+    run =
+      (fun inst ->
+        let module A = Reconfig.Algorithms in
+        let module R = Oracle.Reconfig_ref in
+        let prng = chapter_prng inst in
+        let p = synthetic_problem prng ~max_loops:9 in
+        let gain = Reconfig.Problem.net_gain p in
+        let same what got want =
+          if got <> want then failf "%s: placement differs from the reference" what
+          else if gain got <> gain want then
+            failf "%s: net gain %d, reference %d" what (gain got) (gain want)
+          else Pass
+        in
+        let area = Util.Prng.int prng 400 in
+        let loops = p.Reconfig.Problem.loops in
+        if A.spatial_select ~loops ~area <> R.spatial_select ~loops ~area then
+          failf "spatial_select at area %d differs from the reference" area
+        else
+          first_failure
+            [ same "iterative" (A.iterative p) (R.iterative p);
+              same "greedy" (A.greedy p) (R.greedy p);
+              (match (A.exhaustive p, R.exhaustive p) with
+               | Some got, Some want -> same "exhaustive" got want
+               | None, None -> Pass
+               | _ -> Fail "exhaustive: refusal differs from the reference") ]) }
+
+(* Every Chapter 7 solver against {!Oracle.Rtreconfig_ref}: equal
+   placements, list order included, and bit-equal utilisations; the
+   branch-and-bound also under a small node cap. *)
+let rtreconfig_matches_reference =
+  { name = "rtreconfig_matches_reference";
+    suite = "reconfig";
+    run =
+      (fun inst ->
+        let module S = Rtreconfig.Solvers in
+        let module R = Oracle.Rtreconfig_ref in
+        let prng = chapter_prng inst in
+        let m = chapter7_model prng in
+        let u = Rtreconfig.Model.utilization m in
+        let same what got want =
+          if got <> want then failf "%s: placement differs from the reference" what
+          else if not (same_float (u got) (u want)) then
+            failf "%s: utilization %h, reference %h" what (u got) (u want)
+          else Pass
+        in
+        let tasks = m.Rtreconfig.Model.tasks in
+        let area = Util.Prng.int prng 700 in
+        let salt = Util.Prng.int prng 5000 in
+        let reload (tk : Rtreconfig.Model.task) =
+          (Hashtbl.hash tk.name + salt) mod (1 + tk.wcet)
+        in
+        let max_nodes = Util.Prng.choose prng [| 40; 500; 2_000_000 |] in
+        if
+          S.min_utilization_versions ~tasks ~area ~reload
+          <> R.min_utilization_versions ~tasks ~area ~reload
+        then failf "min_utilization_versions at area %d differs from the reference" area
+        else
+          first_failure
+            [ same "dp" (S.dp m) (R.dp m);
+              same
+                (Printf.sprintf "optimal (max_nodes %d)" max_nodes)
+                (S.optimal ~max_nodes m) (R.optimal ~max_nodes m) ]) }
+
+(* The index-based evaluators against the specification on random
+   placements, feasible or not: {!Reconfig.Compiled} against
+   [Problem.feasible]/[net_gain], {!Rtreconfig.Compiled} against
+   [Model.utilization], bit for bit. *)
+let compiled_evaluator_matches_model =
+  { name = "compiled_evaluator_matches_model";
+    suite = "reconfig";
+    run =
+      (fun inst ->
+        let prng = chapter_prng inst in
+        let p = synthetic_problem prng ~max_loops:12 in
+        let c = Reconfig.Compiled.compile p in
+        let n = Array.length c.names in
+        let configs = Util.Prng.in_range prng 1 n in
+        let draw_config () =
+          if Util.Prng.int prng 3 = 0 then -1 else Util.Prng.int prng configs
+        in
+        let reconfig () =
+          let version = Array.map (fun v -> Util.Prng.int prng (Array.length v)) c.versions in
+          let config = Array.map (fun _ -> draw_config ()) version in
+          (* most draws keep hardware and configurations consistent *)
+          if Util.Prng.int prng 4 > 0 then
+            Array.iteri
+              (fun i v ->
+                if v = 0 then config.(i) <- -1
+                else if config.(i) < 0 then config.(i) <- Util.Prng.int prng configs)
+              version;
+          let named =
+            { Reconfig.Problem.version_of =
+                Array.to_list (Array.mapi (fun i v -> (c.names.(i), v)) version);
+              config_of =
+                List.filter_map
+                  (fun i -> if config.(i) >= 0 then Some (c.names.(i), config.(i)) else None)
+                  (List.init n Fun.id) }
+          in
+          let f = Reconfig.Compiled.feasible c ~version ~config in
+          let g = Reconfig.Compiled.net_gain c ~version ~config in
+          if f <> Reconfig.Problem.feasible p named then
+            failf "reconfig: feasible %b, Problem.feasible disagrees" f
+          else if g <> Reconfig.Problem.net_gain p named then
+            failf "reconfig: net gain %d, Problem.net_gain %d" g
+              (Reconfig.Problem.net_gain p named)
+          else Pass
+        in
+        let m = chapter7_model prng in
+        let tasks = Array.of_list m.Rtreconfig.Model.tasks in
+        let compiled = Rtreconfig.Compiled.compile m in
+        let rtreconfig () =
+          let version =
+            Array.map
+              (fun (tk : Rtreconfig.Model.task) -> Util.Prng.int prng (Array.length tk.versions))
+              tasks
+          in
+          let config = Array.map (fun _ -> draw_config ()) version in
+          let named =
+            { Rtreconfig.Model.version_of =
+                Array.to_list (Array.mapi (fun i j -> (tasks.(i).name, j)) version);
+              config_of =
+                List.filter_map
+                  (fun i -> if config.(i) >= 0 then Some (tasks.(i).name, config.(i)) else None)
+                  (List.init (Array.length tasks) Fun.id) }
+          in
+          let got = Rtreconfig.Compiled.utilization compiled ~version ~config in
+          let want = Rtreconfig.Model.utilization m named in
+          if same_float got want then Pass
+          else failf "rtreconfig: utilization %h, Model.utilization %h" got want
+        in
+        first_failure
+          (List.concat_map (fun _ -> [ reconfig (); rtreconfig () ]) (List.init 20 Fun.id))) }
+
+(* ---------------------------------------------------------------- *)
 (* engine                                                           *)
 (* ---------------------------------------------------------------- *)
 
@@ -1113,6 +1301,9 @@ let all =
     hw_backend_area_monotone;
     auto_dispatch_consistent;
     identification_matches_reference;
+    reconfig_matches_reference;
+    rtreconfig_matches_reference;
+    compiled_evaluator_matches_model;
     cache_roundtrip_and_corruption;
     parallel_map_matches_sequential;
     pool_map_result_matches_sequential_fold ]

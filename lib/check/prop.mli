@@ -7,8 +7,11 @@
     response-time analysis), [pareto] (exact DP front vs cross-product
     enumeration, FPTAS ε-cover, the group-knapsack kernel vs its
     pre-rewrite reference), [curve] (identification pipeline
-    invariants on random DFGs), [engine] (cache round-trip and
-    corruption tolerance, parallel ≡ sequential). *)
+    invariants on random DFGs), [reconfig] (the Chapter 6-7 solvers
+    vs their kept references in {!Oracle.Reconfig_ref} and
+    {!Oracle.Rtreconfig_ref}, the index-based evaluators vs
+    [Problem]/[Model]), [engine] (cache round-trip and corruption
+    tolerance, parallel ≡ sequential). *)
 
 type outcome =
   | Pass

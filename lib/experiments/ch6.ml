@@ -172,9 +172,11 @@ let figure_6_10 fmt =
     [ Report.cellr ~width:10 "max area"; Report.cellr ~width:12 "exhaustive";
       Report.cellr ~width:12 "greedy"; Report.cellr ~width:12 "iterative";
       Report.cellr ~width:10 "configs" ];
+  (* the loops' curves do not depend on the fabric size: build them once *)
+  let jpeg = jpeg_problem ~max_area:0 ~reconfig_cost:50 in
   List.iter
     (fun max_area ->
-      let p = jpeg_problem ~max_area ~reconfig_cost:50 in
+      let p = { jpeg with Reconfig.Problem.max_area } in
       let ex =
         Option.map (Reconfig.Problem.net_gain p) (Reconfig.Algorithms.exhaustive p)
       in

@@ -42,7 +42,6 @@ let warned_lock = Mutex.create ()
 
 let report_saturation budget sat ~explored ~emitted =
   let reason = saturation_reason sat in
-  Obs.Metrics.inc "enumerate.cap_saturated";
   Obs.Metrics.inc ~labels:[ ("reason", reason) ] "enumerate.cap_saturated";
   Obs.Flight.record ~severity:Obs.Flight.Warn "enumerate.cap_saturated"
     [ ("reason", reason);

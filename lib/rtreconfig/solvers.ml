@@ -1,6 +1,7 @@
 (* Group knapsack over a shared area budget: pick one version per task
-   minimising total utilization; [reload] cycles are added to any
-   hardware-mapped task's job. *)
+   minimising total utilization, i.e. maximising Σ (gain − reload) /
+   period; [reload] cycles are added to any hardware-mapped task's job.
+   Tasks come back in reverse order. *)
 let min_utilization_versions ~tasks ~area ~reload =
   let areas =
     List.concat_map
@@ -11,35 +12,35 @@ let min_utilization_versions ~tasks ~area ~reload =
       tasks
   in
   let delta = max 1 (Util.Numeric.gcd_list (area :: areas)) in
-  let cells = (area / delta) + 1 in
-  let best = Array.make cells 0. in
-  let choice : (string * int) list array = Array.make cells [] in
-  List.iter
-    (fun (tk : Model.task) ->
-      let base = Array.copy best in
-      let base_choice = Array.copy choice in
-      for cell = 0 to cells - 1 do
-        best.(cell) <- base.(cell);
-        choice.(cell) <- (tk.name, 0) :: base_choice.(cell)
-      done;
-      for cell = 0 to cells - 1 do
-        Array.iteri
-          (fun j (v : Model.version) ->
-            if j > 0 && v.area <= cell * delta then begin
-              let from = cell - Util.Numeric.ceil_div v.area delta in
-              let benefit =
-                float_of_int (v.gain - reload tk) /. float_of_int tk.period
-              in
-              let total = base.(from) +. benefit in
-              if total > best.(cell) then begin
-                best.(cell) <- total;
-                choice.(cell) <- (tk.name, j) :: base_choice.(from)
-              end
-            end)
-          tk.versions
-      done)
-    tasks;
-  choice.(cells - 1)
+  let tasks = Array.of_list tasks in
+  let values =
+    Array.map
+      (fun (tk : Model.task) ->
+        (* the reload applies to hardware versions only, so it is asked
+           for only when one fits *)
+        let fits j (v : Model.version) = j > 0 && v.area <= area in
+        if Array.exists Fun.id (Array.mapi fits tk.versions) then begin
+          let r = reload tk in
+          Array.map
+            (fun (v : Model.version) ->
+              float_of_int (v.gain - r) /. float_of_int tk.period)
+            tk.versions
+        end
+        else Array.make (Array.length tk.versions) 0.)
+      tasks
+  in
+  let choice =
+    Util.Group_knapsack.solve ~capacity:(area / delta)
+      ~costs:
+        (Array.map
+           (fun (tk : Model.task) ->
+             Array.map (fun (v : Model.version) -> v.area / delta) tk.versions)
+           tasks)
+      ~values
+  in
+  let versions = ref [] in
+  Array.iteri (fun g (tk : Model.task) -> versions := (tk.name, choice.(g)) :: !versions) tasks;
+  !versions
 
 let placement_of_versions versions ~group_of =
   { Model.version_of = versions;
@@ -49,22 +50,30 @@ let placement_of_versions versions ~group_of =
         versions }
 
 let static (t : Model.t) =
+  Engine.Trace.with_span "rtreconfig.static" @@ fun () ->
   let versions =
     min_utilization_versions ~tasks:t.tasks ~area:t.max_area ~reload:(fun _ -> 0)
   in
   placement_of_versions versions ~group_of:(fun _ -> 0)
 
+(* Branch-and-bound over period-sorted tasks; each leaf is scored on
+   indices ({!Compiled.utilization}, in [t.tasks] order, so the bits
+   equal [Model.utilization]) and named only when it is the new best. *)
 let optimal ?(max_nodes = 2_000_000) (t : Model.t) =
-  let tasks =
-    Array.of_list
-      (List.sort (fun (a : Model.task) b -> compare a.period b.period) t.tasks)
+  Engine.Trace.with_span "rtreconfig.optimal" @@ fun () ->
+  let sorted =
+    List.sort
+      (fun (_, (a : Model.task)) (_, (b : Model.task)) -> compare a.period b.period)
+      (List.mapi (fun p tk -> (p, tk)) t.tasks)
   in
+  let tasks = Array.of_list (List.map snd sorted) in
+  (* position in [t.tasks] of the i-th task by period *)
+  let pos = Array.of_list (List.map fst sorted) in
   let n = Array.length tasks in
-  let best_u = ref infinity and best = ref (static t) in
-  (let u0 = Model.utilization t !best in
-   best_u := u0);
-  let version_idx = Array.make n 0 in
-  let group_idx = Array.make n (-1) in
+  let compiled = Compiled.compile t in
+  let best = ref (static t) in
+  let best_u = ref (Model.utilization t !best) in
+  let version = Array.make n 0 and config = Array.make n (-1) in
   let group_area = Array.make (max 1 n) 0 in
   let nodes = ref 0 in
   (* optimistic bound: assigned tasks at chosen gains without reloads,
@@ -83,24 +92,24 @@ let optimal ?(max_nodes = 2_000_000) (t : Model.t) =
     incr nodes;
     if !nodes < max_nodes then begin
       if i = n then begin
-        let placement =
-          placement_of_versions
-            (Array.to_list (Array.mapi (fun k j -> (tasks.(k).Model.name, j)) version_idx))
-            ~group_of:(fun name ->
-              let rec find k = if tasks.(k).Model.name = name then group_idx.(k) else find (k + 1) in
-              find 0)
-        in
-        let u = Model.utilization t placement in
+        let u = Compiled.utilization compiled ~version ~config in
         if u < !best_u then begin
           best_u := u;
-          best := placement
+          best :=
+            placement_of_versions
+              (List.init n (fun k -> (tasks.(k).Model.name, version.(pos.(k)))))
+              ~group_of:(fun name ->
+                let rec find k =
+                  if tasks.(k).Model.name = name then config.(pos.(k)) else find (k + 1)
+                in
+                find 0)
         end
       end
       else if partial_u +. suffix_best.(i) < !best_u then begin
-        let tk = tasks.(i) in
+        let tk = tasks.(i) and p = pos.(i) in
         (* software option *)
-        version_idx.(i) <- 0;
-        group_idx.(i) <- -1;
+        version.(p) <- 0;
+        config.(p) <- -1;
         search (i + 1) (partial_u +. (float_of_int tk.wcet /. float_of_int tk.period)) max_group;
         (* hardware options: version j in group g (canonical numbering) *)
         Array.iteri
@@ -108,8 +117,8 @@ let optimal ?(max_nodes = 2_000_000) (t : Model.t) =
             if j > 0 then
               for g = 0 to min (max_group + 1) (n - 1) do
                 if group_area.(g) + v.area <= t.max_area then begin
-                  version_idx.(i) <- j;
-                  group_idx.(i) <- g;
+                  version.(p) <- j;
+                  config.(p) <- g;
                   group_area.(g) <- group_area.(g) + v.area;
                   let contribution =
                     float_of_int (tk.wcet - v.gain) /. float_of_int tk.period
@@ -119,12 +128,13 @@ let optimal ?(max_nodes = 2_000_000) (t : Model.t) =
                 end
               done)
           tk.versions;
-        version_idx.(i) <- 0;
-        group_idx.(i) <- -1
+        version.(p) <- 0;
+        config.(p) <- -1
       end
     end
   in
   search 0 0. (-1);
+  Obs.Metrics.inc ~by:(float_of_int !nodes) "rtreconfig.nodes";
   !best
 
 (* The near-optimal pseudo-polynomial algorithm, reconstructed as an
@@ -151,6 +161,7 @@ let contiguous_partitions n k_max =
   build n k_max
 
 let dp (t : Model.t) =
+  Engine.Trace.with_span "rtreconfig.dp" @@ fun () ->
   let best = ref (static t) in
   let best_u = ref (Model.utilization t !best) in
   let consider p =

@@ -165,8 +165,17 @@ let test_cap_saturation_counter () =
           [ "max_candidates"; "max_explored" ])
    | None -> Alcotest.fail "tight budget on sha's biggest block must saturate");
   check bool "candidates still returned" true (cands <> []);
-  check bool "telemetry counter fired" true
-    (int_of_float (Obs.Metrics.sum "enumerate.cap_saturated") > before)
+  check int "one saturation counts once" (before + 1)
+    (int_of_float (Obs.Metrics.sum "enumerate.cap_saturated"));
+  let cells =
+    String.split_on_char '\n' (Obs.Prometheus.render ())
+    |> List.filter (fun l -> String.starts_with ~prefix:"enumerate_cap_saturated" l)
+  in
+  check bool "exposed" true (cells <> []);
+  check bool "only reason-labelled cells" true
+    (List.for_all
+       (fun l -> String.starts_with ~prefix:"enumerate_cap_saturated_total{reason=" l)
+       cells)
 
 let test_isegen_breaks_the_cap () =
   (* On a block where the tight exhaustive budget saturates, the

@@ -483,8 +483,26 @@ let test_solvers_no_kind_clash () =
     (Pareto.Mo_select.approx_front ~eps:0.5 ~base:1000. entities
       : Util.Pareto_front.point list);
   ignore (Batch.Service.run (golden_requests ()));
+  let p = Reconfig.Synthetic.generate ~seed:5 ~loops:6 in
+  ignore (Reconfig.Algorithms.iterative p : Reconfig.Problem.placement);
+  ignore (Reconfig.Algorithms.greedy p : Reconfig.Problem.placement);
+  ignore (Reconfig.Algorithms.exhaustive p : Reconfig.Problem.placement option);
+  let m =
+    { Rtreconfig.Model.tasks =
+        [ Rtreconfig.Model.task ~name:"a" ~period:100 ~wcet:60 [ (20, 30); (30, 60) ];
+          Rtreconfig.Model.task ~name:"b" ~period:150 ~wcet:90 [ (40, 50) ];
+          Rtreconfig.Model.task ~name:"c" ~period:400 ~wcet:100 [ (50, 40); (70, 80) ] ];
+      max_area = 90;
+      reconfig_cost = 5 }
+  in
+  ignore (Rtreconfig.Solvers.dp m : Rtreconfig.Model.placement);
+  ignore (Rtreconfig.Solvers.static m : Rtreconfig.Model.placement);
+  ignore (Rtreconfig.Solvers.optimal m : Rtreconfig.Model.placement);
   let d = Obs.Snapshot.delta ~before:s0 ~after:(Obs.Snapshot.take ()) in
   check eps "no kind clash" 0. (Obs.Snapshot.counter d "obs.kind_clash");
+  check eps "exhaustive counts every partition of 6 loops" 203.
+    (Obs.Snapshot.counter d "reconfig.partitions");
+  check bool "optimal counts its nodes" true (Obs.Snapshot.counter d "rtreconfig.nodes" > 0.);
   check bool "Pareto DP cells counted" true
     (Obs.Snapshot.counter d "pareto.dp_cells" > 0.);
   match Obs.Snapshot.hist_stats d "edf.dp_cells_per_solve" with

@@ -268,6 +268,34 @@ let prop_iterative_beats_static =
       Reconfig.Problem.net_gain p (Reconfig.Algorithms.iterative p)
       >= Reconfig.Problem.net_gain p static)
 
+(* Every Chapter 6 and 7 solver records its own span. *)
+let test_solver_spans () =
+  Engine.Trace.set_enabled true;
+  Engine.Trace.reset ();
+  let names =
+    Fun.protect
+      ~finally:(fun () -> Engine.Trace.set_enabled false)
+      (fun () ->
+        let p = Reconfig.Synthetic.generate ~seed:3 ~loops:5 in
+        ignore (Reconfig.Algorithms.iterative p : Reconfig.Problem.placement);
+        ignore (Reconfig.Algorithms.greedy p : Reconfig.Problem.placement);
+        ignore (Reconfig.Algorithms.exhaustive p : Reconfig.Problem.placement option);
+        let m =
+          { Rtreconfig.Model.tasks =
+              [ Rtreconfig.Model.task ~name:"a" ~period:100 ~wcet:60 [ (20, 30) ];
+                Rtreconfig.Model.task ~name:"b" ~period:300 ~wcet:90 [ (40, 50) ] ];
+            max_area = 60;
+            reconfig_cost = 5 }
+        in
+        ignore (Rtreconfig.Solvers.dp m : Rtreconfig.Model.placement);
+        ignore (Rtreconfig.Solvers.optimal m : Rtreconfig.Model.placement);
+        List.map (fun (s : Engine.Trace.span) -> s.name) (Engine.Trace.spans ()))
+  in
+  List.iter
+    (fun name -> check bool name true (List.mem name names))
+    [ "reconfig.iterative"; "reconfig.greedy"; "reconfig.exhaustive"; "rtreconfig.dp";
+      "rtreconfig.static"; "rtreconfig.optimal" ]
+
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "reconfig"
@@ -292,4 +320,5 @@ let () =
           qt prop_greedy_nonnegative;
           qt prop_exhaustive_dominates_static;
           Alcotest.test_case "exhaustive refuses large" `Quick test_exhaustive_refuses_large;
-          qt prop_iterative_beats_static ] ) ]
+          qt prop_iterative_beats_static;
+          Alcotest.test_case "solver spans" `Quick test_solver_spans ] ) ]
