@@ -204,9 +204,11 @@ let metrics_delta obs =
 
 let metrics_json obs =
   let d = metrics_delta obs in
-  Printf.sprintf "{\"telemetry\": %s, \"histograms\": %s}\n"
-    (Obs.Snapshot.telemetry_json d)
-    (Obs.Snapshot.histograms_json d)
+  Util.Json.to_string
+    (Obj
+       [ ("telemetry", Obs.Snapshot.telemetry_json d);
+         ("histograms", Obs.Snapshot.histograms_json d) ])
+  ^ "\n"
 
 let obs_finish obs =
   (match obs.trace_file with
@@ -743,7 +745,7 @@ let batch_cmd =
         (function
           | i, Ok _ -> List.assoc i answered
           | i, Error msg ->
-            Check.Repro.(
+            Util.Json.(
               to_string
                 (Obj
                    [ ("line", Num (float_of_int (i + 1))); ("error", Str msg) ])))
@@ -1029,7 +1031,7 @@ let check_cmd =
   let run obs seed budget suites repro_dir action =
     (* the batch properties live above lib/check in the library graph,
        so the composition happens here *)
-    let all_props = Check.Prop.all @ Batch.Props.all in
+    let all_props = Check.Prop.all @ Check.Props.all in
     let all_suites = Check.Prop.suites @ [ "batch" ] in
     let unknown = List.filter (fun s -> not (List.mem s all_suites)) suites in
     if unknown <> [] then begin

@@ -16,7 +16,7 @@ let uunifast prng ~n ~total =
 let curve_points prng ~base =
   let k = Util.Prng.int prng 4 in
   List.init k (fun _ ->
-      { Instance.area = Util.Prng.in_range prng 1 40;
+      { Batch.Instance.area = Util.Prng.in_range prng 1 40;
         cycles = Util.Prng.in_range prng 1 base })
 
 let task_set prng =
@@ -31,14 +31,14 @@ let task_set prng =
           Util.Numeric.clamp ~lo:1 ~hi:1_000_000
             (int_of_float (Float.round (float_of_int base /. u)))
         in
-        { Instance.period; base; points = curve_points prng ~base })
+        { Batch.Instance.period; base; points = curve_points prng ~base })
       bases shares
   in
   (* Distinct periods: RMS priority order (and hence the B&B/oracle
      comparison) must be unambiguous. *)
   let seen = Hashtbl.create 8 in
   List.map
-    (fun (ts : Instance.task_spec) ->
+    (fun (ts : Batch.Instance.task_spec) ->
       let period = ref ts.period in
       while Hashtbl.mem seen !period do incr period done;
       Hashtbl.add seen !period ();
@@ -48,8 +48,8 @@ let task_set prng =
 let budget_for prng specs =
   let max_area =
     Util.Numeric.sum_by
-      (fun (ts : Instance.task_spec) ->
-        List.fold_left (fun acc (p : Instance.curve_point) -> max acc p.area) 0
+      (fun (ts : Batch.Instance.task_spec) ->
+        List.fold_left (fun acc (p : Batch.Instance.curve_point) -> max acc p.area) 0
           ts.points)
       specs
   in
@@ -83,14 +83,14 @@ let dfg_spec prng =
     List.init n (fun i -> i)
     |> List.filter (fun _ -> Util.Prng.float prng 1.0 < 0.15)
   in
-  { Instance.kinds; edges = List.rev !edges; live_outs }
+  { Batch.Instance.kinds; edges = List.rev !edges; live_outs }
 
 let instance prng =
   let tasks_rng = Util.Prng.split prng in
   let budget_rng = Util.Prng.split prng in
   let dfg_rng = Util.Prng.split prng in
   let tasks = task_set tasks_rng in
-  { Instance.tasks;
+  { Batch.Instance.tasks;
     budget = budget_for budget_rng tasks;
     eps = 0.05 +. Util.Prng.float (Util.Prng.split prng) 0.95;
     dfg = dfg_spec dfg_rng }

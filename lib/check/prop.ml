@@ -3,7 +3,7 @@ type outcome = Pass | Fail of string | Skip of string
 type t = {
   name : string;
   suite : string;
-  run : Instance.t -> outcome;
+  run : Batch.Instance.t -> outcome;
 }
 
 let tol = 1e-9
@@ -25,7 +25,7 @@ let distinct_periods tasks =
   List.length periods = List.length (List.sort_uniq compare periods)
 
 let with_tasks inst k =
-  let tasks = Instance.tasks inst in
+  let tasks = Batch.Instance.tasks inst in
   if Oracle.combination_count tasks > combo_cap then
     Skip "assignment space too large for the oracle"
   else k tasks
@@ -135,7 +135,7 @@ let edf_budget_monotone =
     suite = "select";
     run =
       (fun inst ->
-        let tasks = Instance.tasks inst in
+        let tasks = Batch.Instance.tasks inst in
         let u b = (Core.Edf_select.run ~budget:b tasks).Core.Selection.utilization in
         let budgets =
           [ 0; inst.budget; inst.budget + 1; (2 * inst.budget) + 1 ]
@@ -220,7 +220,7 @@ let rms_pruning_invariant =
     suite = "select";
     run =
       (fun inst ->
-        let tasks = Instance.tasks inst in
+        let tasks = Batch.Instance.tasks inst in
         if not (distinct_periods tasks) then Skip "duplicate periods"
         else begin
           let outcomes =
@@ -253,7 +253,7 @@ let rms_test_matches_response_time =
     suite = "sched";
     run =
       (fun inst ->
-        let tasks = Instance.tasks inst in
+        let tasks = Batch.Instance.tasks inst in
         if not (distinct_periods tasks) then Skip "duplicate periods"
         else begin
           let software = pairs_of (Core.Selection.software tasks) in
@@ -284,19 +284,19 @@ let rms_test_matches_response_time =
    cost = area — the inter-task workload view of Chapter 4. *)
 let entities_of inst =
   List.map
-    (fun (ts : Instance.task_spec) ->
+    (fun (ts : Batch.Instance.task_spec) ->
       List.map
-        (fun (p : Instance.curve_point) ->
+        (fun (p : Batch.Instance.curve_point) ->
           { Pareto.Mo_select.delta = float_of_int (ts.base - p.cycles);
             cost = p.area })
         ts.points
       |> Array.of_list)
-    inst.Instance.tasks
+    inst.Batch.Instance.tasks
 
 let base_of inst =
   Util.Numeric.sum_byf
-    (fun (ts : Instance.task_spec) -> float_of_int ts.base)
-    inst.Instance.tasks
+    (fun (ts : Batch.Instance.task_spec) -> float_of_int ts.base)
+    inst.Batch.Instance.tasks
 
 let fronts_agree exact oracle =
   List.length exact = List.length oracle
@@ -352,7 +352,7 @@ let inter_stage_approx_covers =
                   |> List.map (fun (p : Isa.Config.point) ->
                          { Util.Pareto_front.cost = p.area;
                            value = float_of_int p.cycles }) })
-            (Instance.tasks inst)
+            (Batch.Instance.tasks inst)
         in
         let exact = Pareto.Stages.Inter.exact curves in
         let approx = Pareto.Stages.Inter.approx ~eps:inst.eps curves in
@@ -391,9 +391,9 @@ let kernel_matches_reference =
         let module M = Pareto.Mo_select in
         let module R = Oracle.Pareto_ref in
         let base = base_of inst in
-        let budget = inst.Instance.budget in
-        (* [Instance.eps] spans [0.05, 1]; tripling it reaches 3 *)
-        let epsilons = [ inst.Instance.eps; 3. *. inst.Instance.eps ] in
+        let budget = inst.Batch.Instance.budget in
+        (* [Batch.Instance.eps] spans [0.05, 1]; tripling it reaches 3 *)
+        let epsilons = [ inst.Batch.Instance.eps; 3. *. inst.Batch.Instance.eps ] in
         let unlimited () = Engine.Guard.create () in
         let against entities =
           let exact_under fuel () =
@@ -523,7 +523,7 @@ let generated_curve_well_formed =
     suite = "curve";
     run =
       (fun inst ->
-        let dfg = Instance.dfg inst in
+        let dfg = Batch.Instance.dfg inst in
         let cfg =
           { Ir.Cfg.name = "fuzz"; code = Ir.Cfg.block "b0" dfg }
         in
@@ -562,7 +562,7 @@ let candidates_respect_constraints =
     suite = "curve";
     run =
       (fun inst ->
-        let dfg = Instance.dfg inst in
+        let dfg = Batch.Instance.dfg inst in
         let constraints = Isa.Hw_model.default_constraints in
         let cands = Ise.Enumerate.connected ~constraints dfg in
         let rec check = function
@@ -601,7 +601,7 @@ let candidates_respect_constraints =
    stays cheap enough for a 200-case budget. *)
 let isegen_params_of inst =
   { Ise.Isegen.default_params with
-    Ise.Isegen.seed = 1 + inst.Instance.budget;
+    Ise.Isegen.seed = 1 + inst.Batch.Instance.budget;
     restarts = 16;
     max_moves = 16 }
 
@@ -636,24 +636,19 @@ let legal_candidate dfg constraints (ci : Isa.Custom_inst.t) =
       failf "candidate fails re-validation: %s"
         (Format.asprintf "%a" Isa.Custom_inst.pp_rejection r)
 
-let rec first_failure = function
-  | [] -> Pass
-  | Pass :: rest -> first_failure rest
-  | outcome :: _ -> outcome
-
 let isegen_candidates_legal =
   { name = "isegen_candidates_legal";
     suite = "isegen";
     run =
       (fun inst ->
-        let dfg = Instance.dfg inst in
+        let dfg = Batch.Instance.dfg inst in
         let constraints = Isa.Hw_model.default_constraints in
         let cands =
           Ise.Isegen.generate ~constraints ~params:(isegen_params_of inst) dfg
         in
         first_failure
           (List.map
-             (fun (ci : Isa.Custom_inst.t) ->
+             (fun (ci : Isa.Custom_inst.t) () ->
                match legal_candidate dfg constraints ci with
                | Pass ->
                  (* uniform re-evaluation is the identity; any backend's
@@ -686,7 +681,7 @@ let isegen_matches_oracle_on_small =
     suite = "isegen";
     run =
       (fun inst ->
-        let dfg = Instance.dfg inst in
+        let dfg = Batch.Instance.dfg inst in
         let n = Ir.Dfg.node_count dfg in
         if n > 12 then Skip "DFG too large for the exhaustive oracle"
         else begin
@@ -729,7 +724,7 @@ let isegen_deterministic =
     suite = "isegen";
     run =
       (fun inst ->
-        let dfg = Instance.dfg inst in
+        let dfg = Batch.Instance.dfg inst in
         let params = isegen_params_of inst in
         let a = Ise.Isegen.generate ~params dfg in
         let b = Ise.Isegen.generate ~params dfg in
@@ -742,14 +737,17 @@ let isegen_guard_anytime =
     suite = "isegen";
     run =
       (fun inst ->
-        let dfg = Instance.dfg inst in
+        let dfg = Batch.Instance.dfg inst in
         let constraints = Isa.Hw_model.default_constraints in
         let params = isegen_params_of inst in
         let full = Ise.Isegen.generate ~constraints ~params dfg in
-        let fuel = 1 + (inst.Instance.budget mod 60) in
+        let fuel = 1 + (inst.Batch.Instance.budget mod 60) in
         let guard = Engine.Guard.create ~fuel () in
         let partial = Ise.Isegen.generate ~guard ~constraints ~params dfg in
-        match first_failure (List.map (legal_candidate dfg constraints) partial) with
+        match
+          first_failure
+            (List.map (fun ci () -> legal_candidate dfg constraints ci) partial)
+        with
         | Pass ->
           (match Engine.Guard.status guard with
            | Engine.Guard.Exact ->
@@ -774,7 +772,7 @@ let hw_backend_area_monotone =
     suite = "isegen";
     run =
       (fun inst ->
-        let dfg = Instance.dfg inst in
+        let dfg = Batch.Instance.dfg inst in
         let n = Ir.Dfg.node_count dfg in
         let valid =
           List.filter (Ir.Dfg.valid_node dfg) (List.init n (fun i -> i))
@@ -788,7 +786,7 @@ let hw_backend_area_monotone =
                  let whole = Isa.Hw_model.set_op_area_with b dfg full in
                  let monotone =
                    List.map
-                     (fun v ->
+                     (fun v () ->
                        let sub = Util.Bitset.copy full in
                        Util.Bitset.clear sub v;
                        if Isa.Hw_model.set_op_area_with b dfg sub > whole then
@@ -797,13 +795,13 @@ let hw_backend_area_monotone =
                        else Pass)
                      valid
                  in
-                 let port_floor =
+                 let port_floor () =
                    if Isa.Hw_model.set_area_with b dfg full < whole then
                      failf "%s: port-aware area below operator area"
                        b.Isa.Hw_model.name
                    else Pass
                  in
-                 let legacy_agrees =
+                 let legacy_agrees () =
                    if
                      b.Isa.Hw_model.name = "uniform"
                      && Isa.Hw_model.set_area_with b dfg full
@@ -820,12 +818,12 @@ let auto_dispatch_consistent =
     suite = "isegen";
     run =
       (fun inst ->
-        let dfg = Instance.dfg inst in
+        let dfg = Batch.Instance.dfg inst in
         (* a budget tight enough that many instances saturate, so both
            arms of the dispatch are exercised *)
         let budget =
           { Ise.Enumerate.max_size = 3;
-            max_explored = 8 + (inst.Instance.budget mod 40);
+            max_explored = 8 + (inst.Batch.Instance.budget mod 40);
             max_candidates = 6 }
         in
         let isegen = isegen_params_of inst in
@@ -857,10 +855,12 @@ let identification_matches_reference =
     suite = "isegen";
     run =
       (fun inst ->
-        let dfg = Instance.dfg inst in
+        let dfg = Batch.Instance.dfg inst in
         let n = Ir.Dfg.node_count dfg in
         let constraints = Isa.Hw_model.default_constraints in
-        let prng = Util.Prng.create (Hashtbl.hash (inst.Instance.budget, inst.Instance.dfg)) in
+        let prng =
+          Util.Prng.create (Hashtbl.hash (inst.Batch.Instance.budget, inst.Batch.Instance.dfg))
+        in
         let draw_allowed () =
           if Util.Prng.bool prng then None
           else
@@ -911,12 +911,13 @@ let identification_matches_reference =
               ?allowed dfg
           in
           first_failure
-            [ same_list "enumeration" got want;
-              (if sat = sat_ref then Pass
-               else
-                 failf "enumeration saturation %s, reference %s" (sat_name sat)
-                   (sat_name sat_ref));
-              same_fuel "enumeration" g g_ref ]
+            [ (fun () -> same_list "enumeration" got want);
+              (fun () ->
+                if sat = sat_ref then Pass
+                else
+                  failf "enumeration saturation %s, reference %s" (sat_name sat)
+                    (sat_name sat_ref));
+              (fun () -> same_fuel "enumeration" g g_ref) ]
         in
         let isegen () =
           let params =
@@ -931,9 +932,11 @@ let identification_matches_reference =
           let want =
             Oracle.Isegen_ref.generate ~guard:g_ref ~constraints ~params ?allowed dfg
           in
-          first_failure [ same_list "isegen" got want; same_fuel "isegen" g g_ref ]
+          first_failure
+            [ (fun () -> same_list "isegen" got want);
+              (fun () -> same_fuel "isegen" g g_ref) ]
         in
-        first_failure (List.concat_map (fun _ -> [ enumerate (); isegen () ]) [ 1; 2; 3 ]))
+        first_failure (List.concat_map (fun _ -> [ enumerate; isegen ]) [ 1; 2; 3 ]))
   }
 
 (* ---------------------------------------------------------------- *)
@@ -942,7 +945,8 @@ let identification_matches_reference =
 
 (* The Chapter 6-7 instances are drawn from a generator seeded by the
    whole instance, so every fuzz seed reaches many of them. *)
-let chapter_prng inst = Util.Prng.create (Hashtbl.hash (Instance.to_json inst))
+let chapter_prng inst =
+  Util.Prng.create (Hashtbl.hash (Util.Json.to_string (Batch.Instance.to_json inst)))
 
 (* A Table 6.1 synthetic problem of 2-9 loops, with the capacity and
    the reload cost varied.  One draw in three replaces every version's
@@ -1010,12 +1014,13 @@ let reconfig_matches_reference =
           failf "spatial_select at area %d differs from the reference" area
         else
           first_failure
-            [ same "iterative" (A.iterative p) (R.iterative p);
-              same "greedy" (A.greedy p) (R.greedy p);
-              (match (A.exhaustive p, R.exhaustive p) with
+            [ (fun () -> same "iterative" (A.iterative p) (R.iterative p));
+              (fun () -> same "greedy" (A.greedy p) (R.greedy p));
+              (fun () ->
+                match (A.exhaustive p, R.exhaustive p) with
                | Some got, Some want -> same "exhaustive" got want
                | None, None -> Pass
-               | _ -> Fail "exhaustive: refusal differs from the reference") ]) }
+                | _ -> Fail "exhaustive: refusal differs from the reference") ]) }
 
 (* Every Chapter 7 solver against {!Oracle.Rtreconfig_ref}: equal
    placements, list order included, and bit-equal utilisations; the
@@ -1049,10 +1054,11 @@ let rtreconfig_matches_reference =
         then failf "min_utilization_versions at area %d differs from the reference" area
         else
           first_failure
-            [ same "dp" (S.dp m) (R.dp m);
-              same
-                (Printf.sprintf "optimal (max_nodes %d)" max_nodes)
-                (S.optimal ~max_nodes m) (R.optimal ~max_nodes m) ]) }
+            [ (fun () -> same "dp" (S.dp m) (R.dp m));
+              (fun () ->
+                same
+                  (Printf.sprintf "optimal (max_nodes %d)" max_nodes)
+                  (S.optimal ~max_nodes m) (R.optimal ~max_nodes m)) ]) }
 
 (* The index-based evaluators against the specification on random
    placements, feasible or not: {!Reconfig.Compiled} against
@@ -1122,7 +1128,7 @@ let compiled_evaluator_matches_model =
           else failf "rtreconfig: utilization %h, Model.utilization %h" got want
         in
         first_failure
-          (List.concat_map (fun _ -> [ reconfig (); rtreconfig () ]) (List.init 20 Fun.id))) }
+          (List.concat_map (fun _ -> [ reconfig; rtreconfig ]) (List.init 20 Fun.id))) }
 
 (* ---------------------------------------------------------------- *)
 (* engine                                                           *)
@@ -1162,12 +1168,12 @@ let cache_roundtrip_and_corruption =
           (fun () ->
             Engine.Cache.set_dir tmp;
             Engine.Cache.set_enabled true;
-            let key = Printf.sprintf "check-%d" inst.Instance.budget in
-            let value = inst.Instance.tasks in
+            let key = Printf.sprintf "check-%d" inst.Batch.Instance.budget in
+            let value = inst.Batch.Instance.tasks in
             Engine.Cache.store ~namespace:"check" ~key value;
             match Engine.Cache.find ~namespace:"check" ~key () with
             | None -> Fail "stored entry reads as a miss"
-            | Some (v : Instance.task_spec list) when v <> value ->
+            | Some (v : Batch.Instance.task_spec list) when v <> value ->
               Fail "cache hit returned a different value"
             | Some _ ->
               (* truncate the entry at a random point: loading must
@@ -1179,7 +1185,7 @@ let cache_roundtrip_and_corruption =
                   ~finally:(fun () -> close_in_noerr ic)
                   (fun () -> really_input_string ic (in_channel_length ic))
               in
-              let cut = inst.Instance.budget mod max 1 (String.length contents) in
+              let cut = inst.Batch.Instance.budget mod max 1 (String.length contents) in
               let oc = open_out_bin file in
               Fun.protect
                 ~finally:(fun () -> close_out_noerr oc)
@@ -1211,8 +1217,8 @@ let parallel_map_matches_sequential =
            suite's fault property *)
         if Engine.Fault.active () then Skip "fault injection active"
         else
-        let xs = List.init (1 + (inst.Instance.budget mod 40)) Fun.id in
-        let f x = Hashtbl.hash (x, inst.Instance.budget, inst.Instance.eps) in
+        let xs = List.init (1 + (inst.Batch.Instance.budget mod 40)) Fun.id in
+        let f x = Hashtbl.hash (x, inst.Batch.Instance.budget, inst.Batch.Instance.eps) in
         let seq = List.map f xs in
         Engine.Parallel.Pool.with_pool ~jobs:3 @@ fun pool ->
         let par = Engine.Parallel.Pool.map pool f xs in
@@ -1238,17 +1244,17 @@ let pool_map_result_matches_sequential_fold =
            run while an external spec (make faults) is armed. *)
         if Engine.Fault.active () then Skip "fault injection active"
         else begin
-          let budget = inst.Instance.budget in
+          let budget = inst.Batch.Instance.budget in
           let cap = 1 + (budget mod 3) in
           let spec =
             { Engine.Fault.seed = 1000 + budget;
               points =
                 [ ( "parallel.worker",
-                    { Engine.Fault.prob = 0.3 +. (0.4 *. inst.Instance.eps);
+                    { Engine.Fault.prob = 0.3 +. (0.4 *. inst.Batch.Instance.eps);
                       cap = Some cap } ) ] }
           in
           let xs = List.init (2 + (budget mod 23)) Fun.id in
-          let f x = Hashtbl.hash (x, budget, inst.Instance.eps) in
+          let f x = Hashtbl.hash (x, budget, inst.Batch.Instance.eps) in
           let seq = List.map f xs in
           Engine.Fault.configure spec;
           Fun.protect ~finally:Engine.Fault.disable @@ fun () ->

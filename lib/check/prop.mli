@@ -21,7 +21,7 @@ type outcome =
 type t = {
   name : string;
   suite : string;
-  run : Instance.t -> outcome;
+  run : Batch.Instance.t -> outcome;
 }
 
 val all : t list

@@ -1,6 +1,8 @@
-open Check.Prop
+open Prop
+module Protocol = Batch.Protocol
+module Service = Batch.Service
 
-let renumber_dfg (d : Check.Instance.dfg_spec) =
+let renumber_dfg (d : Batch.Instance.dfg_spec) =
   let n = List.length d.kinds in
   if n = 0 then d
   else begin
@@ -24,7 +26,7 @@ let renumber_dfg (d : Check.Instance.dfg_spec) =
     done;
     let old_of = Array.make n 0 in
     Array.iteri (fun old pos -> old_of.(pos) <- old) newid;
-    { Check.Instance.kinds = List.init n (fun pos -> kinds.(old_of.(pos)));
+    { Batch.Instance.kinds = List.init n (fun pos -> kinds.(old_of.(pos)));
       edges = List.map (fun (s, t) -> (newid.(s), newid.(t))) d.edges;
       live_outs = List.map (fun v -> newid.(v)) d.live_outs }
   end
@@ -32,12 +34,12 @@ let renumber_dfg (d : Check.Instance.dfg_spec) =
 (* A request stream with everything the service claims to share:
    budget sweeps, exact duplicates, permuted/renumbered presentations
    of the same problem, every op. *)
-let stream_of (inst : Check.Instance.t) =
-  let b = inst.Check.Instance.budget in
+let stream_of (inst : Batch.Instance.t) =
+  let b = inst.Batch.Instance.budget in
   let budgets = List.sort_uniq compare [ 0; b / 2; b; b + 3 ] in
-  let at bud = { inst with Check.Instance.budget = bud } in
-  let permuted = { inst with Check.Instance.tasks = List.rev inst.Check.Instance.tasks } in
-  let renumbered = { inst with Check.Instance.dfg = renumber_dfg inst.Check.Instance.dfg } in
+  let at bud = { inst with Batch.Instance.budget = bud } in
+  let permuted = { inst with Batch.Instance.tasks = List.rev inst.Batch.Instance.tasks } in
+  let renumbered = { inst with Batch.Instance.dfg = renumber_dfg inst.Batch.Instance.dfg } in
   let specs =
     List.map (fun bud -> (Protocol.Edf, at bud)) budgets
     @ [ (Protocol.Rms, inst);
@@ -104,10 +106,10 @@ let key_of op instance =
      { Protocol.id = "k"; op; instance; generator = Ise.Isegen.Exhaustive })
     .Protocol.key
 
-let batch_hash_canonical (inst : Check.Instance.t) =
-  let permuted = { inst with Check.Instance.tasks = List.rev inst.Check.Instance.tasks } in
-  let renumbered = { inst with Check.Instance.dfg = renumber_dfg inst.Check.Instance.dfg } in
-  let bumped = { inst with Check.Instance.budget = inst.Check.Instance.budget + 1 } in
+let batch_hash_canonical (inst : Batch.Instance.t) =
+  let permuted = { inst with Batch.Instance.tasks = List.rev inst.Batch.Instance.tasks } in
+  let renumbered = { inst with Batch.Instance.dfg = renumber_dfg inst.Batch.Instance.dfg } in
+  let bumped = { inst with Batch.Instance.budget = inst.Batch.Instance.budget + 1 } in
   if key_of Protocol.Edf permuted <> key_of Protocol.Edf inst then
     Fail "task reordering changed the edf key"
   else if key_of Protocol.Curve renumbered <> key_of Protocol.Curve inst then
@@ -143,9 +145,9 @@ let batch_survives_faults inst =
           else if
             List.for_all
               (fun l ->
-                match Check.Repro.parse l with
-                | Check.Repro.Obj _ -> true
-                | _ | (exception Check.Repro.Parse_error _) -> false)
+                match Util.Json.parse l with
+                | Util.Json.Obj _ -> true
+                | _ | (exception Util.Json.Parse_error _) -> false)
               lines
           then Pass
           else Fail "unparseable response line under fault injection")

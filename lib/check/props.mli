@@ -1,14 +1,13 @@
 (** Differential properties for the batch layer (suite ["batch"]).
 
-    These live here rather than in [lib/check] because they exercise
-    the batch service, which sits above [check] in the library graph;
-    the CLI composes them with {!Check.Prop.all} when driving
-    {!Check.Runner.run}.
+    They exercise the batch service, which sits below [check] in the
+    library graph, so they are kept apart from {!Prop.all}; the CLI
+    composes the two lists when driving {!Runner.run}.
 
     - [batch_matches_sequential] — on a derived request stream (budget
       sweeps, exact duplicates, task-permuted and DFG-renumbered
       copies, all five ops) the batched responses are byte-identical to
-      one-at-a-time {!Service.respond};
+      one-at-a-time {!Batch.Service.respond};
     - [batch_memo_warm_identical] — a second run over a warm memo
       returns the same bytes and answers every unique request from the
       table;
@@ -18,13 +17,13 @@
       [make faults] run; skipped otherwise) the service still answers
       every request with a parseable response. *)
 
-val all : Check.Prop.t list
+val all : Prop.t list
 
-val stream_of : Check.Instance.t -> Protocol.request list
+val stream_of : Batch.Instance.t -> Batch.Protocol.request list
 (** The derived request stream the properties batch (exposed for the
     unit tests and the bench). *)
 
-val renumber_dfg : Check.Instance.dfg_spec -> Check.Instance.dfg_spec
+val renumber_dfg : Batch.Instance.dfg_spec -> Batch.Instance.dfg_spec
 (** A different valid topological numbering of the same graph (picks
     the highest-index ready node instead of the lowest) — the
     presentation change canonicalization must erase. *)

@@ -12,7 +12,7 @@ type failure = {
   suite : string;
   case : int;
   message : string;
-  shrunk : Instance.t;
+  shrunk : Batch.Instance.t;
   shrink_steps : int;
   repro_file : string option;
 }
@@ -99,7 +99,7 @@ let run_property ~fmt ~config (p : Prop.t) =
        f.message;
      Format.fprintf fmt "    shrunk %d step%s to size %d%s@." f.shrink_steps
        (if f.shrink_steps = 1 then "" else "s")
-       (Instance.size f.shrunk)
+       (Batch.Instance.size f.shrunk)
        (match f.repro_file with
         | Some file -> Printf.sprintf "; replay with `check replay %s'" file
         | None -> ""));
@@ -147,7 +147,7 @@ let replay ?(fmt = null_fmt) ?(props = Prop.all) file =
      | None -> Error (Printf.sprintf "%s: unknown property %s" file prop)
      | Some p ->
        Format.fprintf fmt "replaying %s (recorded from seed %d):@.%a@." prop
-         seed Instance.pp instance;
+         seed Batch.Instance.pp instance;
        (match p.Prop.run instance with
         | Prop.Pass ->
           Format.fprintf fmt "property now passes@.";
@@ -344,6 +344,6 @@ let selftest ?(fmt = null_fmt) ~seed ~repro_dir () =
             (Printf.sprintf
                "injected bug caught at case %d, shrunk %d steps to size %d, \
                 repro %s replays the failure"
-               f.case f.shrink_steps (Instance.size f.shrunk) file)
+               f.case f.shrink_steps (Batch.Instance.size f.shrunk) file)
         | Ok true -> Error "shrunk repro no longer fails on replay"
         | Error msg -> Error msg))

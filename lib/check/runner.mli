@@ -21,7 +21,7 @@ type failure = {
   suite : string;
   case : int;  (** 0-based index of the failing case *)
   message : string;
-  shrunk : Instance.t;
+  shrunk : Batch.Instance.t;
   shrink_steps : int;
   repro_file : string option;  (** [None] if writing the file failed *)
 }

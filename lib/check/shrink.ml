@@ -2,9 +2,9 @@ let remove_nth xs n = List.filteri (fun i _ -> i <> n) xs
 
 (* Drop node [v] from a DFG spec: edges touching it disappear, higher
    node ids and live-outs shift down by one. *)
-let drop_dfg_node (d : Instance.dfg_spec) v =
+let drop_dfg_node (d : Batch.Instance.dfg_spec) v =
   let shift i = if i > v then i - 1 else i in
-  { Instance.kinds = remove_nth d.kinds v;
+  { Batch.Instance.kinds = remove_nth d.kinds v;
     edges =
       List.filter_map
         (fun (s, t) ->
@@ -15,11 +15,11 @@ let drop_dfg_node (d : Instance.dfg_spec) v =
         (fun i -> if i = v then None else Some (shift i))
         d.live_outs }
 
-let map_task (inst : Instance.t) i f =
+let map_task (inst : Batch.Instance.t) i f =
   { inst with
     tasks = List.mapi (fun j ts -> if j = i then f ts else ts) inst.tasks }
 
-let candidates (inst : Instance.t) =
+let candidates (inst : Batch.Instance.t) =
   let n_tasks = List.length inst.tasks in
   let n_nodes = List.length inst.dfg.kinds in
   let drop_tasks =
@@ -29,7 +29,7 @@ let candidates (inst : Instance.t) =
   let drop_points =
     List.concat
       (List.mapi
-         (fun i (ts : Instance.task_spec) ->
+         (fun i (ts : Batch.Instance.task_spec) ->
            List.init (List.length ts.points) (fun j ->
                map_task inst i (fun ts ->
                    { ts with points = remove_nth ts.points j })))
@@ -47,16 +47,16 @@ let candidates (inst : Instance.t) =
   let shrink_cycles =
     List.concat
       (List.mapi
-         (fun i (ts : Instance.task_spec) ->
+         (fun i (ts : Batch.Instance.task_spec) ->
            map_task inst i (fun ts -> { ts with base = max 1 (ts.base / 2) })
            :: List.init (List.length ts.points) (fun j ->
                   map_task inst i (fun ts ->
                       { ts with
                         points =
                           List.mapi
-                            (fun k (p : Instance.curve_point) ->
+                            (fun k (p : Batch.Instance.curve_point) ->
                               if k = j then
-                                { Instance.area = max 0 (p.area / 2);
+                                { Batch.Instance.area = max 0 (p.area / 2);
                                   cycles = max 1 (p.cycles / 2) }
                               else p)
                             ts.points })))
@@ -77,8 +77,8 @@ let candidates (inst : Instance.t) =
   in
   List.filter
     (fun c ->
-      Instance.valid c
-      && (Instance.size c < Instance.size inst || c.Instance.eps <> inst.eps))
+      Batch.Instance.valid c
+      && (Batch.Instance.size c < Batch.Instance.size inst || c.Batch.Instance.eps <> inst.eps))
     (drop_tasks @ drop_points @ shrink_budget @ drop_nodes @ drop_edges
    @ shrink_periods @ shrink_cycles @ round_eps)
 

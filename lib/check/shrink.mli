@@ -8,17 +8,17 @@
     result is a local minimum: no single simplification preserves the
     failure. *)
 
-val candidates : Instance.t -> Instance.t list
+val candidates : Batch.Instance.t -> Batch.Instance.t list
 (** All one-step simplifications of an instance, most aggressive first,
-    restricted to {!Instance.valid} results that are strictly smaller
-    under {!Instance.size} (eps rounding, which does not change the
+    restricted to {!Batch.Instance.valid} results that are strictly smaller
+    under {!Batch.Instance.size} (eps rounding, which does not change the
     size, is also offered). *)
 
 val shrink :
   ?max_steps:int ->
-  still_fails:(Instance.t -> bool) ->
-  Instance.t ->
-  Instance.t * int
+  still_fails:(Batch.Instance.t -> bool) ->
+  Batch.Instance.t ->
+  Batch.Instance.t * int
 (** [shrink ~still_fails inst] greedily minimises [inst]; returns the
     shrunk instance and the number of accepted steps ([max_steps]
     defaults to 500). *)

@@ -10,8 +10,8 @@ let kind_color =
 (* Tasks                                                             *)
 (* ---------------------------------------------------------------- *)
 
-let canon_task (ts : Check.Instance.task_spec) =
-  { ts with Check.Instance.points = List.stable_sort compare ts.points }
+let canon_task (ts : Instance.task_spec) =
+  { ts with Instance.points = List.stable_sort compare ts.points }
 
 let canon_tasks tasks =
   let arr = Array.of_list (List.map canon_task tasks) in
@@ -29,7 +29,7 @@ let canon_tasks tasks =
 (* DFG                                                               *)
 (* ---------------------------------------------------------------- *)
 
-let dfg (d : Check.Instance.dfg_spec) =
+let dfg (d : Instance.dfg_spec) =
   let n = List.length d.kinds in
   if n = 0 then d
   else begin
@@ -82,7 +82,7 @@ let dfg (d : Check.Instance.dfg_spec) =
     done;
     let old_of = Array.make n 0 in
     Array.iteri (fun old pos -> old_of.(pos) <- old) newid;
-    { Check.Instance.kinds = List.init n (fun pos -> kinds.(old_of.(pos)));
+    { Instance.kinds = List.init n (fun pos -> kinds.(old_of.(pos)));
       edges =
         List.sort compare
           (List.map (fun (s, t) -> (newid.(s), newid.(t))) d.edges);
@@ -90,6 +90,6 @@ let dfg (d : Check.Instance.dfg_spec) =
     }
   end
 
-let instance (inst : Check.Instance.t) =
-  let tasks, perm = canon_tasks inst.Check.Instance.tasks in
-  ({ inst with Check.Instance.tasks; dfg = dfg inst.Check.Instance.dfg }, perm)
+let instance (inst : Instance.t) =
+  let tasks, perm = canon_tasks inst.Instance.tasks in
+  ({ inst with Instance.tasks; dfg = dfg inst.Instance.dfg }, perm)

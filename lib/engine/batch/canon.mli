@@ -18,12 +18,12 @@
       suite; WL-equivalent-but-non-isomorphic ties are the usual
       theoretical caveat and do not arise for these labelled DAGs).
 
-    Canonicalization preserves {!Check.Instance.valid}. *)
+    Canonicalization preserves {!Instance.valid}. *)
 
-val instance : Check.Instance.t -> Check.Instance.t * int array
+val instance : Instance.t -> Instance.t * int array
 (** Canonical form plus the task permutation: [perm.(i)] is the
     canonical position of the request's task [i].  The permutation of
     an already-canonical instance is the identity. *)
 
-val dfg : Check.Instance.dfg_spec -> Check.Instance.dfg_spec
+val dfg : Instance.dfg_spec -> Instance.dfg_spec
 (** Canonicalize just the DFG (exposed for the hashing tests). *)

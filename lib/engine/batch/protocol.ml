@@ -1,4 +1,4 @@
-module R = Check.Repro
+module J = Util.Json
 
 type op = Edf | Rms | Pareto_exact | Pareto_approx | Curve
 
@@ -16,7 +16,7 @@ let op_of_name n = List.find_opt (fun op -> op_name op = n) all_ops
 type request = {
   id : string;
   op : op;
-  instance : Check.Instance.t;
+  instance : Instance.t;
   generator : Ise.Isegen.choice;
 }
 
@@ -27,23 +27,23 @@ let generator_of req =
 
 type prepared = {
   req : request;
-  canonical : Check.Instance.t;
+  canonical : Instance.t;
   perm : int array;
   key : string;
   group : string;
 }
 
-let empty_dfg = { Check.Instance.kinds = []; edges = []; live_outs = [] }
+let empty_dfg = { Instance.kinds = []; edges = []; live_outs = [] }
 
 (* Blank the instance fields the op ignores, so e.g. two edf requests
    differing only in eps share a key. *)
-let trim op (i : Check.Instance.t) =
+let trim op (i : Instance.t) =
   match op with
-  | Edf | Rms -> { i with Check.Instance.eps = 1.0; dfg = empty_dfg }
-  | Pareto_exact -> { i with Check.Instance.budget = 0; eps = 1.0; dfg = empty_dfg }
-  | Pareto_approx -> { i with Check.Instance.budget = 0; dfg = empty_dfg }
+  | Edf | Rms -> { i with Instance.eps = 1.0; dfg = empty_dfg }
+  | Pareto_exact -> { i with Instance.budget = 0; eps = 1.0; dfg = empty_dfg }
+  | Pareto_approx -> { i with Instance.budget = 0; dfg = empty_dfg }
   | Curve ->
-    { i with Check.Instance.tasks = []; budget = 0; eps = 1.0 }
+    { i with Instance.tasks = []; budget = 0; eps = 1.0 }
 
 let prepare req =
   let canonical, perm = Canon.instance req.instance in
@@ -57,43 +57,43 @@ let prepare req =
     canonical;
     perm;
     key = key_of (trim req.op canonical);
-    group = key_of { (trim req.op canonical) with Check.Instance.budget = 0 } }
+    group = key_of { (trim req.op canonical) with Instance.budget = 0 } }
 
 (* The inter-task workload view (as in Check.Prop): one entity per
    task, delta = cycles saved, cost = area. *)
-let entities_of (i : Check.Instance.t) =
+let entities_of (i : Instance.t) =
   List.map
-    (fun (ts : Check.Instance.task_spec) ->
+    (fun (ts : Instance.task_spec) ->
       List.map
-        (fun (p : Check.Instance.curve_point) ->
+        (fun (p : Instance.curve_point) ->
           { Pareto.Mo_select.delta = float_of_int (ts.base - p.cycles);
             cost = p.area })
         ts.points
       |> Array.of_list)
-    i.Check.Instance.tasks
+    i.Instance.tasks
 
 let parse_request line =
-  match R.parse line with
-  | exception R.Parse_error msg -> Error msg
+  match J.parse line with
+  | exception J.Parse_error msg -> Error msg
   | j ->
     (match
-       let id = R.as_string (R.field j "id") in
-       let opn = R.as_string (R.field j "op") in
-       (id, opn, R.decode_instance (R.field j "instance"))
+       let id = J.as_string (J.field j "id") in
+       let opn = J.as_string (J.field j "op") in
+       (id, opn, Instance.of_json (J.field j "instance"))
      with
-     | exception R.Parse_error msg -> Error msg
+     | exception J.Parse_error msg -> Error msg
      | id, opn, instance ->
        let field_opt j name =
          match j with
-         | R.Obj fields -> List.assoc_opt name fields
+         | J.Obj fields -> List.assoc_opt name fields
          | _ -> None
        in
        let generator =
          match field_opt j "generator" with
          | None -> Ok Ise.Isegen.Exhaustive
          | Some g ->
-           (match R.as_string g with
-            | exception R.Parse_error msg -> Error msg
+           (match J.as_string g with
+            | exception J.Parse_error msg -> Error msg
             | name ->
               (match Ise.Isegen.choice_of_string name with
                | Some c -> Ok c
@@ -103,17 +103,17 @@ let parse_request line =
         | None, _ -> Error (Printf.sprintf "unknown op %S" opn)
         | _, Error msg -> Error msg
         | Some op, Ok generator ->
-          if not (Check.Instance.valid instance) then
+          if not (Instance.valid instance) then
             Error "instance violates a constructor precondition"
           else if
             op = Pareto_approx
             && not
-                 (Pareto.Mo_select.approx_eps_supported ~eps:instance.Check.Instance.eps
+                 (Pareto.Mo_select.approx_eps_supported ~eps:instance.Instance.eps
                     (entities_of instance))
           then
             Error
               (Printf.sprintf "eps %g is too small: the approximation table would not fit"
-                 instance.Check.Instance.eps)
+                 instance.Instance.eps)
           else Ok { id; op; instance; generator }))
 
 let request_line req =
@@ -122,31 +122,31 @@ let request_line req =
   let generator =
     match generator_of req with
     | Ise.Isegen.Exhaustive -> []
-    | g -> [ ("generator", R.Str (Ise.Isegen.choice_to_string g)) ]
+    | g -> [ ("generator", J.Str (Ise.Isegen.choice_to_string g)) ]
   in
-  R.to_string
-    (R.Obj
-       ([ ("id", R.Str req.id);
-          ("op", R.Str (op_name req.op));
-          ("instance", R.json_of_instance req.instance) ]
+  J.to_string
+    (J.Obj
+       ([ ("id", J.Str req.id);
+          ("op", J.Str (op_name req.op));
+          ("instance", Instance.to_json req.instance) ]
        @ generator))
 
 let reproject perm = function
-  | R.Arr entries when List.length entries = Array.length perm ->
+  | J.Arr entries when List.length entries = Array.length perm ->
     let arr = Array.of_list entries in
-    R.Arr (List.init (Array.length perm) (fun i -> arr.(perm.(i))))
+    J.Arr (List.init (Array.length perm) (fun i -> arr.(perm.(i))))
   | v -> v
 
 let render_response p ~payload =
-  let fields = match payload with R.Obj fs -> fs | v -> [ ("result", v) ] in
+  let fields = match payload with J.Obj fs -> fs | v -> [ ("result", v) ] in
   let fields =
     List.map
       (fun (k, v) -> if k = "assignment" then (k, reproject p.perm v) else (k, v))
       fields
   in
-  R.to_string
-    (R.Obj
-       (("id", R.Str p.req.id)
-       :: ("op", R.Str (op_name p.req.op))
-       :: ("key", R.Str p.key)
+  J.to_string
+    (J.Obj
+       (("id", J.Str p.req.id)
+       :: ("op", J.Str (op_name p.req.op))
+       :: ("key", J.Str p.key)
        :: fields))

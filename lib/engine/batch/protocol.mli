@@ -24,7 +24,7 @@ val op_of_name : string -> op option
 type request = {
   id : string;
   op : op;
-  instance : Check.Instance.t;
+  instance : Instance.t;
   generator : Ise.Isegen.choice;
       (** candidate generator for [curve] requests; ignored (and
           normalised to [Exhaustive] in keys and on the wire) for every
@@ -36,7 +36,7 @@ type request = {
     service schedules. *)
 type prepared = {
   req : request;
-  canonical : Check.Instance.t;  (** {!Canon.instance} of the spec *)
+  canonical : Instance.t;  (** {!Canon.instance} of the spec *)
   perm : int array;  (** request task [i] is canonical task [perm.(i)] *)
   key : string;
       (** dedup/memo key: ["<op>[+<generator>]-<hash>"], hashing only
@@ -52,7 +52,7 @@ type prepared = {
 
 val prepare : request -> prepared
 
-val entities_of : Check.Instance.t -> Pareto.Mo_select.entity list
+val entities_of : Instance.t -> Pareto.Mo_select.entity list
 (** The inter-task Pareto view of an instance: one entity per task,
     one option per curve point (delta = cycles saved, cost = area). *)
 
@@ -65,7 +65,7 @@ val request_line : request -> string
 (** Serialise a request to its JSONL line ([parse_request] inverts
     it). *)
 
-val render_response : prepared -> payload:Check.Repro.json -> string
+val render_response : prepared -> payload:Util.Json.t -> string
 (** The response line: [id]/[op]/[key] followed by the payload's
     fields, with any [assignment] array projected from canonical task
     order back to request order through [perm]. *)

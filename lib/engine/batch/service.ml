@@ -1,4 +1,4 @@
-module R = Check.Repro
+module J = Util.Json
 
 let () =
   Obs.Metrics.declare ~help:"Batch requests received, by operation"
@@ -30,79 +30,79 @@ let pp_stats fmt s =
    the corpus expects stable curves. *)
 let curve_params = { Ise.Curve.small with Ise.Curve.sweep_points = 8 }
 
-let base_of (i : Check.Instance.t) =
+let base_of (i : Instance.t) =
   Util.Numeric.sum_byf
-    (fun (ts : Check.Instance.task_spec) -> float_of_int ts.base)
-    i.Check.Instance.tasks
+    (fun (ts : Instance.task_spec) -> float_of_int ts.base)
+    i.Instance.tasks
 
-let num_int i = R.Num (float_of_int i)
+let num_int i = J.Num (float_of_int i)
 
 let status_field st =
   ( "status",
-    R.Str (match st with Engine.Guard.Exact -> "exact" | Partial _ -> "partial") )
+    J.Str (match st with Engine.Guard.Exact -> "exact" | Partial _ -> "partial") )
 
 let point_json (p : Isa.Config.point) =
-  R.Obj [ ("area", num_int p.area); ("cycles", num_int p.cycles) ]
+  J.Obj [ ("area", num_int p.area); ("cycles", num_int p.cycles) ]
 
 let selection_fields (sel : Core.Selection.t) =
-  [ ("utilization", R.Num sel.Core.Selection.utilization);
+  [ ("utilization", J.Num sel.Core.Selection.utilization);
     ("area", num_int sel.Core.Selection.area);
     ( "assignment",
-      R.Arr (List.map (fun (_, p) -> point_json p) sel.Core.Selection.assignment)
+      J.Arr (List.map (fun (_, p) -> point_json p) sel.Core.Selection.assignment)
     ) ]
 
 let front_json front =
-  R.Arr
+  J.Arr
     (List.map
        (fun (p : Util.Pareto_front.point) ->
-         R.Obj [ ("cost", num_int p.cost); ("value", R.Num p.value) ])
+         J.Obj [ ("cost", num_int p.cost); ("value", J.Num p.value) ])
        front)
 
-let edf_payload sel = R.Obj (status_field Engine.Guard.Exact :: selection_fields sel)
+let edf_payload sel = J.Obj (status_field Engine.Guard.Exact :: selection_fields sel)
 
 (* [spec] is the request's resource budget (the daemon's per-class
    deadline/fuel admission specs arrive here); without one the solver
    falls back to the process-wide default, exactly as before. *)
 let payload ?spec ?(generator = Ise.Isegen.Exhaustive) op
-    (ci : Check.Instance.t) =
+    (ci : Instance.t) =
   let guard () =
     match spec with
     | Some s -> Engine.Guard.of_spec s
     | None -> Engine.Guard.default ()
   in
   match (op : Protocol.op) with
-  | Edf -> edf_payload (Core.Edf_select.run ~budget:ci.budget (Check.Instance.tasks ci))
+  | Edf -> edf_payload (Core.Edf_select.run ~budget:ci.budget (Instance.tasks ci))
   | Rms ->
     let guard = guard () in
-    (match Core.Rms_select.run_guarded ~guard ~budget:ci.budget (Check.Instance.tasks ci) with
+    (match Core.Rms_select.run_guarded ~guard ~budget:ci.budget (Instance.tasks ci) with
      | Some sel, st ->
-       R.Obj (status_field st :: ("feasible", R.Bool true) :: selection_fields sel)
-     | None, st -> R.Obj [ status_field st; ("feasible", R.Bool false) ])
+       J.Obj (status_field st :: ("feasible", J.Bool true) :: selection_fields sel)
+     | None, st -> J.Obj [ status_field st; ("feasible", J.Bool false) ])
   | Pareto_exact ->
     let guard = guard () in
     let front, st =
       Pareto.Mo_select.exact_front_guarded ~guard ~base:(base_of ci)
         (Protocol.entities_of ci)
     in
-    R.Obj [ status_field st; ("points", front_json front) ]
+    J.Obj [ status_field st; ("points", front_json front) ]
   | Pareto_approx ->
     let guard = guard () in
     let front =
-      Pareto.Mo_select.approx_front ~guard ~eps:ci.Check.Instance.eps
+      Pareto.Mo_select.approx_front ~guard ~eps:ci.Instance.eps
         ~base:(base_of ci) (Protocol.entities_of ci)
     in
-    R.Obj [ status_field (Engine.Guard.status guard); ("points", front_json front) ]
+    J.Obj [ status_field (Engine.Guard.status guard); ("points", front_json front) ]
   | Curve ->
     let cfg =
-      { Ir.Cfg.name = "batch"; code = Ir.Cfg.block "b0" (Check.Instance.dfg ci) }
+      { Ir.Cfg.name = "batch"; code = Ir.Cfg.block "b0" (Instance.dfg ci) }
     in
     let params = { curve_params with Ise.Curve.generator } in
     let curve = Ise.Curve.generate ~params cfg in
-    R.Obj
+    J.Obj
       [ status_field Engine.Guard.Exact;
         ("base", num_int (Isa.Config.base_cycles curve));
         ( "points",
-          R.Arr (Array.to_list (Array.map point_json (Isa.Config.points curve))) )
+          J.Arr (Array.to_list (Array.map point_json (Isa.Config.points curve))) )
       ]
 
 (* Rendering always goes payload → string → parse → render, on every
@@ -111,11 +111,11 @@ let payload ?spec ?(generator = Ise.Isegen.Exhaustive) op
 let respond req =
   let p = Protocol.prepare req in
   let s =
-    R.to_string
+    J.to_string
       (payload ~generator:p.Protocol.req.generator p.Protocol.req.op
          p.Protocol.canonical)
   in
-  Protocol.render_response p ~payload:(R.parse s)
+  Protocol.render_response p ~payload:(J.parse s)
 
 (* The daemon's one-request path: probe the shared memo, compute and
    store on a miss.  Both arms render through string -> parse -> render
@@ -124,17 +124,17 @@ let respond req =
 let answer ?memo ?spec req =
   let p = Protocol.prepare req in
   match Option.bind memo (fun m -> Engine.Memo.find m ~key:p.Protocol.key) with
-  | Some s -> Protocol.render_response p ~payload:(R.parse s)
+  | Some s -> Protocol.render_response p ~payload:(J.parse s)
   | None ->
     let s =
-      R.to_string
+      J.to_string
         (payload ?spec ~generator:p.Protocol.req.generator p.Protocol.req.op
            p.Protocol.canonical)
     in
     (match memo with
      | Some m -> Engine.Memo.store m ~key:p.Protocol.key s
      | None -> ());
-    Protocol.render_response p ~payload:(R.parse s)
+    Protocol.render_response p ~payload:(J.parse s)
 
 type group_result = { entries : (string * string) list; g_memo_hits : int; g_swept : int }
 
@@ -158,12 +158,12 @@ let compute_group memo (ps : Protocol.prepared list) =
       (* a budget sweep over one task set: one DP answers the group *)
       let budgets =
         List.map
-          (fun (p : Protocol.prepared) -> p.Protocol.canonical.Check.Instance.budget)
+          (fun (p : Protocol.prepared) -> p.Protocol.canonical.Instance.budget)
           missing
       in
       let sels =
         Core.Edf_select.run_sweep ~budgets
-          (Check.Instance.tasks first.Protocol.canonical)
+          (Instance.tasks first.Protocol.canonical)
       in
       Obs.Metrics.inc ~by:(float_of_int (List.length missing))
         "batch.sweep_budgets";
@@ -179,7 +179,7 @@ let compute_group memo (ps : Protocol.prepared list) =
   in
   let fresh =
     List.map
-      (fun ((p : Protocol.prepared), pl) -> (p.Protocol.key, R.to_string pl))
+      (fun ((p : Protocol.prepared), pl) -> (p.Protocol.key, J.to_string pl))
       computed
   in
   (match memo with
@@ -259,7 +259,7 @@ let run ?pool ?memo reqs =
     List.map
       (fun (p : Protocol.prepared) ->
         Protocol.render_response p
-          ~payload:(R.parse (Hashtbl.find by_key p.Protocol.key)))
+          ~payload:(J.parse (Hashtbl.find by_key p.Protocol.key)))
       prepared
   in
   (match memo with Some m -> Engine.Memo.observe_occupancy m | None -> ());

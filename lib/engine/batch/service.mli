@@ -18,7 +18,7 @@
 
     Responses come back in request order.  Both [run] and the
     one-at-a-time reference {!respond} serialise result payloads
-    through {!Check.Repro.to_string} before rendering, so for any
+    through {!Util.Json.to_string} before rendering, so for any
     request stream the two produce byte-identical lines, cold or
     memo-warm — the central property of the [batch] suite.
 
@@ -51,7 +51,7 @@ val answer :
     per-request path.  A memo hit replays the stored payload; a miss
     computes (under [spec] if given, else the process default guard),
     stores, and renders.  Every arm serialises through
-    {!Check.Repro.to_string} before rendering, so [answer] is
+    {!Util.Json.to_string} before rendering, so [answer] is
     byte-identical to {!respond} for any [Exact]-status result,
     warm or cold. *)
 

@@ -8,4 +8,4 @@ let fnv64 s =
 
 let hex h = Printf.sprintf "%016Lx" h
 
-let of_instance i = hex (fnv64 (Check.Instance.to_json i))
+let of_instance i = hex (fnv64 (Util.Json.to_string (Instance.to_json i)))

@@ -11,7 +11,8 @@ val fnv64 : string -> int64
 val hex : int64 -> string
 (** 16 lowercase hex digits. *)
 
-val of_instance : Check.Instance.t -> string
-(** [hex (fnv64 (Instance.to_json i))] — the caller is expected to pass
-    an already-canonicalized ({!Canon.instance}) and field-trimmed
-    instance, so equal problems produce equal keys. *)
+val of_instance : Instance.t -> string
+(** [hex (fnv64 (Util.Json.to_string (Instance.to_json i)))] — the
+    caller is expected to pass an already-canonicalized
+    ({!Canon.instance}) and field-trimmed instance, so equal problems
+    produce equal keys. *)

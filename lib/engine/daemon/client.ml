@@ -1,6 +1,6 @@
 (* Blocking JSONL client for the daemon.  See client.mli. *)
 
-module R = Check.Repro
+module J = Util.Json
 
 type t = {
   fd : Unix.file_descr;
@@ -65,12 +65,12 @@ let recv t =
     go ()
 
 let error_of line =
-  match R.parse line with
-  | R.Obj fields -> (
+  match J.parse line with
+  | J.Obj fields -> (
     match List.assoc_opt "error" fields with
-    | Some (R.Str e) -> Some e
+    | Some (J.Str e) -> Some e
     | _ -> None)
-  | _ | (exception R.Parse_error _) -> None
+  | _ | (exception J.Parse_error _) -> None
 
 let overloaded line = error_of line = Some "overloaded"
 

@@ -16,7 +16,7 @@
    order per connection is request order because the slot queue is
    FIFO and the writer resolves slots in sequence. *)
 
-module R = Check.Repro
+module J = Util.Json
 
 let () =
   Obs.Metrics.declare
@@ -134,10 +134,10 @@ let count_request ?op outcome =
     "daemon.requests"
 
 let error_line ?id msg =
-  R.to_string
-    (R.Obj
-       ((match id with Some i -> [ ("id", R.Str i) ] | None -> [])
-       @ [ ("error", R.Str msg) ]))
+  J.to_string
+    (J.Obj
+       ((match id with Some i -> [ ("id", J.Str i) ] | None -> [])
+       @ [ ("error", J.Str msg) ]))
 
 (* ------------------------- admission ----------------------------- *)
 

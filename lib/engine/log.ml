@@ -56,10 +56,11 @@ let emit l message =
       | None -> ()
       | Some oc ->
         output_string oc
-          (Obs.Jsonx.obj
-             [ ("ts", Obs.Jsonx.float ts);
-               ("level", Obs.Jsonx.string (string_of_level l));
-               ("msg", Obs.Jsonx.string message) ]);
+          (Util.Json.to_string
+             (Obj
+                [ ("ts", Num ts);
+                  ("level", Str (string_of_level l));
+                  ("msg", Str message) ]));
         output_char oc '\n';
         flush oc)
 

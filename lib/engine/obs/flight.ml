@@ -80,13 +80,15 @@ let set_capacity n =
 let capacity () = protect (fun () -> Array.length !ring)
 
 let json_of_event e =
-  Jsonx.obj
-    ([ ("seq", string_of_int e.seq);
-       ("t", Jsonx.float e.t);
-       ("domain", string_of_int e.domain);
-       ("severity", Jsonx.string (severity_string e.severity));
-       ("kind", Jsonx.string e.kind) ]
-    @ List.map (fun (k, v) -> (k, Jsonx.string v)) e.fields)
+  let open Util.Json in
+  to_string
+    (Obj
+       ([ ("seq", Num (float_of_int e.seq));
+          ("t", Num e.t);
+          ("domain", Num (float_of_int e.domain));
+          ("severity", Str (severity_string e.severity));
+          ("kind", Str e.kind) ]
+       @ List.map (fun (k, v) -> (k, Str v)) e.fields))
 
 let to_jsonl () =
   String.concat "" (List.map (fun e -> json_of_event e ^ "\n") (events ()))

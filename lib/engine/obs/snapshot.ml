@@ -127,26 +127,26 @@ let histograms t =
     t
 
 let telemetry_json t =
+  let open Util.Json in
   let cs, ts = counters_and_timers t in
-  Jsonx.obj
-    [ ( "counters",
-        Jsonx.obj
-          (List.map (fun (k, v) -> (k, string_of_int (int_of_float v))) cs) );
-      ("timers", Jsonx.obj (List.map (fun (k, v) -> (k, Jsonx.float v)) ts)) ]
+  Obj
+    [ ("counters", Obj (List.map (fun (k, v) -> (k, Num (Float.trunc v))) cs));
+      ("timers", Obj (List.map (fun (k, v) -> (k, Num v)) ts)) ]
 
 let histograms_json t =
-  Jsonx.obj
+  let open Util.Json in
+  Obj
     (List.map
        (fun (name, (s : Metrics.hstats)) ->
          ( name,
-           Jsonx.obj
-             [ ("count", string_of_int s.Metrics.count);
-               ("sum", Jsonx.float s.Metrics.sum);
-               ("min", Jsonx.float s.Metrics.min);
-               ("max", Jsonx.float s.Metrics.max);
-               ("p50", Jsonx.float s.Metrics.p50);
-               ("p90", Jsonx.float s.Metrics.p90);
-               ("p99", Jsonx.float s.Metrics.p99) ] ))
+           Obj
+             [ ("count", Num (float_of_int s.Metrics.count));
+               ("sum", Num s.Metrics.sum);
+               ("min", Num s.Metrics.min);
+               ("max", Num s.Metrics.max);
+               ("p50", Num s.Metrics.p50);
+               ("p90", Num s.Metrics.p90);
+               ("p99", Num s.Metrics.p99) ] ))
        (histograms t))
 
 (* The tables leave out families that did not move in this snapshot —

@@ -41,14 +41,14 @@ val hist_stats : ?labels:Metrics.labels -> t -> string -> Metrics.hstats option
     their label cells summed and histogram families with their cells
     merged. *)
 
-val telemetry_json : t -> string
+val telemetry_json : t -> Util.Json.t
 (** [{"counters": {...ints...}, "timers": {...seconds...}}] over the
     snapshot's counter families; seconds-unit families
-    ({!Metrics.inc_s}, {!Metrics.time_s}) are the timers.  Always valid
-    JSON: empty halves are [{}], names are escaped, and a non-finite
-    timer becomes [null]. *)
+    ({!Metrics.inc_s}, {!Metrics.time_s}) are the timers.  Empty halves
+    are [{}]; {!Util.Json.to_string} prints a non-finite timer as
+    [null]. *)
 
-val histograms_json : t -> string
+val histograms_json : t -> Util.Json.t
 (** [{name: {count,sum,min,max,p50,p90,p99}}] over the snapshot's
     histogram families with at least one sample. *)
 

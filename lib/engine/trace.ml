@@ -135,27 +135,29 @@ let pp_tree fmt () =
   | roots -> List.iter (pp 0) roots
 
 let to_chrome_json () =
+  let open Util.Json in
   let event s =
     let args =
-      ("span_id", Obs.Jsonx.string (string_of_int s.id))
+      ("span_id", Str (string_of_int s.id))
       :: (match s.parent with
-          | Some p -> [ ("parent_id", Obs.Jsonx.string (string_of_int p)) ]
+          | Some p -> [ ("parent_id", Str (string_of_int p)) ]
           | None -> [])
-      @ List.map (fun (k, v) -> (k, Obs.Jsonx.string v)) s.attrs
+      @ List.map (fun (k, v) -> (k, Str v)) s.attrs
     in
-    Obs.Jsonx.obj
-      [ ("name", Obs.Jsonx.string s.name);
-        ("cat", Obs.Jsonx.string "isecustom");
-        ("ph", Obs.Jsonx.string "X");
-        ("ts", Obs.Jsonx.float (1e6 *. s.t_start));
-        ("dur", Obs.Jsonx.float (1e6 *. duration s));
-        ("pid", "1");
-        ("tid", string_of_int s.domain);
-        ("args", Obs.Jsonx.obj args) ]
+    Obj
+      [ ("name", Str s.name);
+        ("cat", Str "isecustom");
+        ("ph", Str "X");
+        ("ts", Num (1e6 *. s.t_start));
+        ("dur", Num (1e6 *. duration s));
+        ("pid", Num 1.);
+        ("tid", Num (float_of_int s.domain));
+        ("args", Obj args) ]
   in
-  Obs.Jsonx.obj
-    [ ("traceEvents", Obs.Jsonx.arr (List.map event (spans ())));
-      ("displayTimeUnit", Obs.Jsonx.string "ms") ]
+  to_string
+    (Obj
+       [ ("traceEvents", Arr (List.map event (spans ())));
+         ("displayTimeUnit", Str "ms") ])
 
 let write_chrome path =
   let oc = open_out path in

@@ -73,47 +73,3 @@ let render fmt r =
   List.iter
     (fun cells -> Format.fprintf fmt "%s@." (String.concat "  " cells))
     r.rows
-
-let json_string s =
-  let b = Buffer.create (String.length s + 2) in
-  Buffer.add_char b '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.add_char b '"';
-  Buffer.contents b
-
-let to_json r =
-  let trimmed_rows =
-    List.map (fun cells -> List.map String.trim cells) r.rows
-  in
-  let rows =
-    trimmed_rows
-    |> List.map (fun cells ->
-           "[" ^ String.concat ", " (List.map json_string cells) ^ "]")
-    |> String.concat ", "
-  in
-  let timings =
-    r.timings
-    |> List.map (fun (label, dt) ->
-           Printf.sprintf "%s: %.6f" (json_string label) dt)
-    |> String.concat ", "
-  in
-  let banner =
-    match r.banner with
-    | Some (id, title) ->
-      Printf.sprintf "{\"id\": %s, \"title\": %s}" (json_string id)
-        (json_string title)
-    | None -> "null"
-  in
-  Printf.sprintf
-    "{\"banner\": %s, \"rows\": [%s], \"timings\": {%s}, \"elapsed\": %.6f, \
-     \"status\": %s}"
-    banner rows timings r.elapsed (json_string r.status)

@@ -3,8 +3,8 @@
     Experiment drivers used to print straight to a formatter; they now
     accumulate into a {!t} builder and the registry packages the run as
     a {!result} — rows plus labelled sub-step timings plus total wall
-    time — which callers can render as text ({!render}), serialise
-    ({!to_json}), or assert on directly in tests. *)
+    time — which callers can render as text ({!render}) or assert on
+    directly in tests. *)
 
 type result = {
   banner : (string * string) option;
@@ -43,8 +43,6 @@ val collect : (t -> unit) -> result
 
 val render : Format.formatter -> result -> unit
 (** The classic text rendering (banner line, then rows). *)
-
-val to_json : result -> string
 
 val cell : ?width:int -> string -> string
 (** Right-pad to a column width (default 12). *)

@@ -6,15 +6,15 @@
 module P = Batch.Protocol
 
 let task ~period ~base points =
-  { Check.Instance.period;
+  { Batch.Instance.period;
     base;
     points =
-      List.map (fun (area, cycles) -> { Check.Instance.area; cycles }) points }
+      List.map (fun (area, cycles) -> { Batch.Instance.area; cycles }) points }
 
-let no_dfg = { Check.Instance.kinds = []; edges = []; live_outs = [] }
+let no_dfg = { Batch.Instance.kinds = []; edges = []; live_outs = [] }
 
 let two_task =
-  { Check.Instance.tasks =
+  { Batch.Instance.tasks =
       [ task ~period:100 ~base:50 [ (5, 30); (10, 20) ];
         task ~period:80 ~base:40 [ (4, 25) ] ];
     budget = 10;
@@ -23,8 +23,8 @@ let two_task =
 
 let diamond =
   { two_task with
-    Check.Instance.dfg =
-      { Check.Instance.kinds = [ Ir.Op.Const; Add; Mul; Xor; Add ];
+    Batch.Instance.dfg =
+      { Batch.Instance.kinds = [ Ir.Op.Const; Add; Mul; Xor; Add ];
         edges = [ (0, 1); (0, 2); (1, 3); (2, 3); (3, 4) ];
         live_outs = [ 4 ] } }
 
@@ -33,19 +33,19 @@ let () =
     (* a budget sweep over one task set, with a permuted and an exact
        duplicate riding along *)
     List.map
-      (fun b -> (P.Edf, { two_task with Check.Instance.budget = b }))
+      (fun b -> (P.Edf, { two_task with Batch.Instance.budget = b }))
       [ 0; 5; 10; 14 ]
     @ [ ( P.Edf,
           { two_task with
-            Check.Instance.tasks = List.rev two_task.Check.Instance.tasks } );
+            Batch.Instance.tasks = List.rev two_task.Batch.Instance.tasks } );
         (P.Edf, two_task);
         (P.Rms, two_task);
         (P.Pareto_exact, two_task);
-        (P.Pareto_approx, { two_task with Check.Instance.eps = 0.3 });
+        (P.Pareto_approx, { two_task with Batch.Instance.eps = 0.3 });
         (P.Curve, diamond);
         ( P.Curve,
           { diamond with
-            Check.Instance.dfg = Batch.Props.renumber_dfg diamond.Check.Instance.dfg
+            Batch.Instance.dfg = Check.Props.renumber_dfg diamond.Batch.Instance.dfg
           } ) ]
     @ List.concat_map
         (fun seed ->
@@ -70,7 +70,7 @@ let () =
     [ (P.Curve, diamond);
       ( P.Curve,
         { diamond with
-          Check.Instance.dfg = Batch.Props.renumber_dfg diamond.Check.Instance.dfg
+          Batch.Instance.dfg = Check.Props.renumber_dfg diamond.Batch.Instance.dfg
         } ) ]
     @ List.map
         (fun seed -> (P.Curve, Check.Gen.instance (Util.Prng.create seed)))

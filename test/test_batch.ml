@@ -4,62 +4,71 @@ let int = Alcotest.int
 let string = Alcotest.string
 
 module P = Batch.Protocol
-module R = Check.Repro
+module J = Util.Json
 
 let instances ~seed n =
   List.init n (fun i -> Check.Gen.instance (Util.Prng.create (seed + i)))
 
 (* ------------------------------------------------------------------ *)
-(* Repro codec round-trips (the batch wire format)                    *)
+(* JSON codec round-trips (the batch wire format)                     *)
 (* ------------------------------------------------------------------ *)
-
-let test_emitter_matches_instance_to_json () =
-  List.iter
-    (fun inst ->
-      check string "json_of_instance emission" (Check.Instance.to_json inst)
-        (R.to_string (R.json_of_instance inst)))
-    (instances ~seed:100 200)
 
 let test_parse_emit_idempotent () =
   List.iter
     (fun inst ->
-      let once = R.to_string (R.json_of_instance inst) in
-      check string "parse-emit fixpoint" once (R.to_string (R.parse once));
-      let decoded = R.decode_instance (R.parse once) in
-      check bool "decode round-trip" true (Check.Instance.equal inst decoded))
-    (instances ~seed:300 200)
+      let once = J.to_string (Batch.Instance.to_json inst) in
+      check string "parse-emit fixpoint" once (J.to_string (J.parse once));
+      match Batch.Instance.instance_of_json once with
+      | Ok decoded ->
+        check bool "decode round-trip" true (Batch.Instance.equal inst decoded)
+      | Error msg -> Alcotest.failf "decode failed: %s" msg)
+    (instances ~seed:300 200);
+  (* \u escapes decode to UTF-8, surrogate pairs joined; the emitter
+     keeps the bytes raw, so the first emission is already the fixpoint *)
+  List.iter
+    (fun (text, want) ->
+      check string text want (J.as_string (J.parse text));
+      let once = J.to_string (J.parse text) in
+      check string "unicode parse-emit fixpoint" once (J.to_string (J.parse once)))
+    [ ({|"caf\u00e9\ud83d\ude00"|}, "caf\xc3\xa9\xf0\x9f\x98\x80");
+      ({|"\u0041\u07FF\u0800\uFFFF"|}, "A\xdf\xbf\xe0\xa0\x80\xef\xbf\xbf");
+      ({|"\uD800\uDC00\uDBFF\uDFFF"|}, "\xf0\x90\x80\x80\xf4\x8f\xbf\xbf");
+      ("\"caf\xc3\xa9\"", "caf\xc3\xa9") ]
 
 let test_parser_rejects_malformed_unicode_escape () =
   (* used to raise Failure("int_of_string") instead of Parse_error *)
   List.iter
     (fun text ->
-      match R.parse text with
+      match J.parse text with
       | _ -> Alcotest.failf "parsed %S" text
-      | exception R.Parse_error _ -> ())
-    [ {|"\uZZZZ"|}; {|"\u00_0"|}; {|"\u"|}; {|"\u12"|} ]
+      | exception J.Parse_error _ -> ())
+    [ {|"\uZZZZ"|}; {|"\u00_0"|}; {|"\u"|}; {|"\u12"|};
+      (* lone surrogates name no character *)
+      {|"\ud83d"|}; {|"\ud83dx"|}; {|"\ude00"|}; {|"\ud83d\u0041"|};
+      {|"\ud83d\ud83d"|}; {|"\ud83d\u"|} ]
 
 let test_parser_rejects_raw_control_chars () =
   (* RFC 8259 §7: U+0000..U+001F must be escaped inside strings *)
   List.iter
     (fun text ->
-      match R.parse text with
+      match J.parse text with
       | _ -> Alcotest.failf "parsed %S" text
-      | exception R.Parse_error _ -> ())
+      | exception J.Parse_error _ -> ())
     [ "{\"a\": \"x\ty\"}"; "{\"a\": \"x\001y\"}"; "{\"a\": \"x\ny\"}";
       "{\"a\tb\": 1}" ];
   check bool "escaped tab still decodes" true
-    (R.parse {|{"a": "x\ty"}|} = R.Obj [ ("a", R.Str "x\ty") ]);
+    (J.parse {|{"a": "x\ty"}|} = J.Obj [ ("a", J.Str "x\ty") ]);
   check bool "tab between tokens is whitespace" true
-    (R.parse "{\t\"a\":\t1}" = R.Obj [ ("a", R.Num 1.) ])
+    (J.parse "{\t\"a\":\t1}" = J.Obj [ ("a", J.Num 1.) ])
 
 let test_as_int_rejects_unrepresentable () =
-  check int "2^53 still exact" 9007199254740992 (R.as_int (R.Num 9007199254740992.));
-  (match R.as_int (R.Num 1e30) with
+  check int "2^53 still exact" 9007199254740992 (J.as_int (J.Num 9007199254740992.));
+  (match J.as_int (J.Num 1e30) with
    | _ -> Alcotest.fail "accepted 1e30 as an int"
-   | exception R.Parse_error _ -> ());
-  match R.as_int (R.Num 0.5) with
+   | exception J.Parse_error _ -> ());
+  match J.as_int (J.Num 0.5) with
   | _ -> Alcotest.fail "accepted 0.5 as an int"
-  | exception R.Parse_error _ -> ()
+  | exception J.Parse_error _ -> ()
 
 let test_request_line_round_trip () =
   List.iteri
@@ -74,9 +83,28 @@ let test_request_line_round_trip () =
       | Ok back ->
         check string "id" req.P.id back.P.id;
         check bool "op" true (req.P.op = back.P.op);
-        check bool "instance" true (Check.Instance.equal req.P.instance back.P.instance)
+        check bool "instance" true (Batch.Instance.equal req.P.instance back.P.instance)
       | Error msg -> Alcotest.failf "round trip failed: %s" msg)
     (instances ~seed:500 50)
+
+let test_unicode_id_echoes () =
+  (* a client matches answers to requests by id, so an escaped non-ASCII
+     id must come back as the same characters, printed as raw UTF-8 *)
+  let line =
+    {|{"id": "caf\u00e9\ud83d\ude00", "op": "edf", "instance": {"budget": 5, "eps": 0.5, "tasks": [{"period": 100, "base": 50, "points": [{"area": 5, "cycles": 30}]}], "dfg": {"kinds": [], "edges": [], "live_outs": []}}}|}
+  in
+  let id = "caf\xc3\xa9\xf0\x9f\x98\x80" in
+  match P.parse_request line with
+  | Error msg -> Alcotest.failf "rejected: %s" msg
+  | Ok req ->
+    check string "decoded id" id req.P.id;
+    let batched, _ = Batch.Service.run [ req ] in
+    List.iter
+      (fun answer ->
+        check string "echoed id" id (J.as_string (J.field (J.parse answer) "id"));
+        check bool "raw UTF-8 on the wire" true
+          (String.starts_with ~prefix:({|{"id": "|} ^ id ^ {|", |}) answer))
+      (Batch.Service.respond req :: batched)
 
 let test_parse_request_errors () =
   let bad l =
@@ -89,7 +117,10 @@ let test_parse_request_errors () =
   bad {|{"id": "x", "op": "edf"}|};
   (* a structurally fine but invalid instance: period 0 *)
   bad
-    {|{"id": "x", "op": "edf", "instance": {"budget": 1, "eps": 0.5, "tasks": [{"period": 0, "base": 5, "points": []}], "dfg": {"kinds": [], "edges": [], "live_outs": []}}}|}
+    {|{"id": "x", "op": "edf", "instance": {"budget": 1, "eps": 0.5, "tasks": [{"period": 0, "base": 5, "points": []}], "dfg": {"kinds": [], "edges": [], "live_outs": []}}}|};
+  (* eps overflows to inf, which the instance schema cannot print *)
+  bad
+    {|{"id": "x", "op": "pareto_approx", "instance": {"budget": 1, "eps": 1e999, "tasks": [{"period": 10, "base": 5, "points": []}], "dfg": {"kinds": [], "edges": [], "live_outs": []}}}|}
 
 (* ------------------------------------------------------------------ *)
 (* Structural hashing                                                 *)
@@ -99,13 +130,13 @@ let test_hash_stable_across_runs () =
   (* the key is a pure function of the canonical bytes: pin one so an
      accidental change to hashing or canonicalization fails loudly *)
   let inst =
-    { Check.Instance.tasks =
-        [ { Check.Instance.period = 100;
+    { Batch.Instance.tasks =
+        [ { Batch.Instance.period = 100;
             base = 50;
-            points = [ { Check.Instance.area = 5; cycles = 30 } ] } ];
+            points = [ { Batch.Instance.area = 5; cycles = 30 } ] } ];
       budget = 7;
       eps = 0.5;
-      dfg = { Check.Instance.kinds = []; edges = []; live_outs = [] } }
+      dfg = { Batch.Instance.kinds = []; edges = []; live_outs = [] } }
   in
   let key = (P.prepare
        { P.id = "s"; op = P.Edf; instance = inst;
@@ -133,10 +164,11 @@ let test_hash_collision_sanity () =
       (* the edf key hashes only the fields the op consumes: budget and
          tasks (eps and the DFG are blanked) *)
       let bytes =
-        Check.Instance.to_json
-          { p.P.canonical with
-            Check.Instance.eps = 1.0;
-            dfg = { Check.Instance.kinds = []; edges = []; live_outs = [] } }
+        J.to_string
+          (Batch.Instance.to_json
+             { p.P.canonical with
+               Batch.Instance.eps = 1.0;
+               dfg = { Batch.Instance.kinds = []; edges = []; live_outs = [] } })
       in
       Hashtbl.replace distinct_keys p.P.key ();
       match Hashtbl.find_opt by_key p.P.key with
@@ -147,33 +179,33 @@ let test_hash_collision_sanity () =
 
 let test_canonicalization_invariance () =
   List.iter
-    (fun (inst : Check.Instance.t) ->
+    (fun (inst : Batch.Instance.t) ->
       let canonical, _ = Batch.Canon.instance inst in
       let permuted =
-        { inst with Check.Instance.tasks = List.rev inst.Check.Instance.tasks }
+        { inst with Batch.Instance.tasks = List.rev inst.Batch.Instance.tasks }
       in
       let renumbered =
-        { inst with Check.Instance.dfg = Batch.Props.renumber_dfg inst.Check.Instance.dfg }
+        { inst with Batch.Instance.dfg = Check.Props.renumber_dfg inst.Batch.Instance.dfg }
       in
       check bool "task order erased" true
-        (Check.Instance.equal canonical (fst (Batch.Canon.instance permuted)));
+        (Batch.Instance.equal canonical (fst (Batch.Canon.instance permuted)));
       check bool "node numbering erased" true
-        (Check.Instance.equal canonical (fst (Batch.Canon.instance renumbered)));
+        (Batch.Instance.equal canonical (fst (Batch.Canon.instance renumbered)));
       check bool "canonicalization preserves validity" true
-        (Check.Instance.valid canonical))
+        (Batch.Instance.valid canonical))
     (instances ~seed:2000 300)
 
 let test_canonical_permutation_projects_tasks () =
   List.iter
-    (fun (inst : Check.Instance.t) ->
+    (fun (inst : Batch.Instance.t) ->
       let canonical, perm = Batch.Canon.instance inst in
-      let ctasks = Array.of_list canonical.Check.Instance.tasks in
+      let ctasks = Array.of_list canonical.Batch.Instance.tasks in
       List.iteri
-        (fun i (ts : Check.Instance.task_spec) ->
+        (fun i (ts : Batch.Instance.task_spec) ->
           let c = ctasks.(perm.(i)) in
-          check int "period" ts.Check.Instance.period c.Check.Instance.period;
-          check int "base" ts.Check.Instance.base c.Check.Instance.base)
-        inst.Check.Instance.tasks)
+          check int "period" ts.Batch.Instance.period c.Batch.Instance.period;
+          check int "base" ts.Batch.Instance.base c.Batch.Instance.base)
+        inst.Batch.Instance.tasks)
     (instances ~seed:2500 200)
 
 (* ------------------------------------------------------------------ *)
@@ -182,9 +214,9 @@ let test_canonical_permutation_projects_tasks () =
 
 let test_run_sweep_matches_run () =
   List.iter
-    (fun (inst : Check.Instance.t) ->
-      let tasks = Check.Instance.tasks inst in
-      let b = inst.Check.Instance.budget in
+    (fun (inst : Batch.Instance.t) ->
+      let tasks = Batch.Instance.tasks inst in
+      let b = inst.Batch.Instance.budget in
       let budgets = [ 0; b / 3; b / 2; b; b + 1; (2 * b) + 5 ] in
       let swept = Core.Edf_select.run_sweep ~budgets tasks in
       check int "one selection per budget" (List.length budgets) (List.length swept);
@@ -260,7 +292,7 @@ let test_memo_spills_to_cache () =
 let test_batch_equals_sequential_streams () =
   List.iter
     (fun inst ->
-      let reqs = Batch.Props.stream_of inst in
+      let reqs = Check.Props.stream_of inst in
       let sequential = List.map Batch.Service.respond reqs in
       let memo = Engine.Memo.create ~shards:4 ~spill:false ~namespace:"test-svc" () in
       let batched, stats =
@@ -294,7 +326,7 @@ let test_batch_equals_sequential_streams () =
 
 let test_service_stats_accounting () =
   let inst = Check.Gen.instance (Util.Prng.create 77) in
-  let reqs = Batch.Props.stream_of inst in
+  let reqs = Check.Props.stream_of inst in
   let _, stats = Batch.Service.run reqs in
   check int "requests" (List.length reqs) stats.Batch.Service.requests;
   check int "dedup + unique = requests" stats.Batch.Service.requests
@@ -309,9 +341,7 @@ let test_service_stats_accounting () =
 let () =
   Alcotest.run "batch"
     [ ( "repro-codec",
-        [ Alcotest.test_case "emitter matches Instance.to_json" `Quick
-            test_emitter_matches_instance_to_json;
-          Alcotest.test_case "parse-emit idempotent" `Quick test_parse_emit_idempotent;
+        [ Alcotest.test_case "parse-emit idempotent" `Quick test_parse_emit_idempotent;
           Alcotest.test_case "malformed \\u escapes rejected" `Quick
             test_parser_rejects_malformed_unicode_escape;
           Alcotest.test_case "raw control characters rejected" `Quick
@@ -320,7 +350,8 @@ let () =
             test_as_int_rejects_unrepresentable;
           Alcotest.test_case "request line round-trip" `Quick
             test_request_line_round_trip;
-          Alcotest.test_case "parse_request errors" `Quick test_parse_request_errors ] );
+          Alcotest.test_case "parse_request errors" `Quick test_parse_request_errors;
+          Alcotest.test_case "unicode id echoes as UTF-8" `Quick test_unicode_id_echoes ] );
       ( "hashing",
         [ Alcotest.test_case "stable pinned key" `Quick test_hash_stable_across_runs;
           Alcotest.test_case "collision sanity over 10k instances" `Slow

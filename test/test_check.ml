@@ -21,19 +21,19 @@ let test_generated_instances_valid () =
   let prng = Util.Prng.create 3 in
   for _ = 1 to 200 do
     let inst = Check.Gen.instance (Util.Prng.split prng) in
-    check bool "valid" true (Check.Instance.valid inst);
+    check bool "valid" true (Batch.Instance.valid inst);
     (* materialisation never raises *)
-    ignore (Check.Instance.tasks inst);
-    ignore (Check.Instance.dfg inst)
+    ignore (Batch.Instance.tasks inst);
+    ignore (Batch.Instance.dfg inst)
   done
 
 let test_generation_deterministic () =
   let a = Check.Gen.instance (Util.Prng.create 11) in
   let b = Check.Gen.instance (Util.Prng.create 11) in
   let c = Check.Gen.instance (Util.Prng.create 12) in
-  check bool "same seed, same instance" true (Check.Instance.equal a b);
+  check bool "same seed, same instance" true (Batch.Instance.equal a b);
   check bool "different seed, different instance" false
-    (Check.Instance.equal a c)
+    (Batch.Instance.equal a c)
 
 (* ------------------------------------------------------------------ *)
 (* Oracles                                                            *)
@@ -119,24 +119,24 @@ let test_shrinker_minimises () =
   (* "budget at least 12" is a monotone predicate, so greedy shrinking
      must land exactly on the boundary with everything else stripped. *)
   let inst = Check.Gen.instance (Util.Prng.create 5) in
-  let inst = { inst with Check.Instance.budget = 57 } in
+  let inst = { inst with Batch.Instance.budget = 57 } in
   let shrunk, steps =
     Check.Shrink.shrink
-      ~still_fails:(fun i -> i.Check.Instance.budget >= 12)
+      ~still_fails:(fun i -> i.Batch.Instance.budget >= 12)
       inst
   in
   check bool "made progress" true (steps > 0);
-  check int "boundary found" 12 shrunk.Check.Instance.budget;
-  check int "tasks stripped" 0 (List.length shrunk.Check.Instance.tasks);
+  check int "boundary found" 12 shrunk.Batch.Instance.budget;
+  check int "tasks stripped" 0 (List.length shrunk.Batch.Instance.tasks);
   check int "dfg stripped" 0
-    (List.length shrunk.Check.Instance.dfg.Check.Instance.kinds)
+    (List.length shrunk.Batch.Instance.dfg.Batch.Instance.kinds)
 
 let test_shrinker_keeps_validity () =
   let prng = Util.Prng.create 9 in
   for _ = 1 to 50 do
     let inst = Check.Gen.instance (Util.Prng.split prng) in
     List.iter
-      (fun c -> check bool "candidate valid" true (Check.Instance.valid c))
+      (fun c -> check bool "candidate valid" true (Batch.Instance.valid c))
       (Check.Shrink.candidates inst)
   done
 
@@ -157,7 +157,7 @@ let test_repro_roundtrip () =
     (match Check.Repro.read file with
      | Ok r ->
        check bool "instance round-trips" true
-         (Check.Instance.equal r.Check.Repro.instance inst);
+         (Batch.Instance.equal r.Check.Repro.instance inst);
        check Alcotest.string "prop preserved" "edf_dp_matches_oracle"
          r.Check.Repro.prop;
        check int "seed preserved" i r.Check.Repro.seed

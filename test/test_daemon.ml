@@ -64,12 +64,12 @@ let with_daemon ?max_inflight ?max_request_bytes ?idle_timeout_s
   Fun.protect ~finally:(fun () -> Daemon.Server.stop d) (fun () -> f path d)
 
 let repro_field line name =
-  match Check.Repro.parse line with
-  | Check.Repro.Obj fields -> (
+  match Util.Json.parse line with
+  | Util.Json.Obj fields -> (
     match List.assoc_opt name fields with
-    | Some (Check.Repro.Str s) -> Some s
+    | Some (Util.Json.Str s) -> Some s
     | _ -> None)
-  | _ | (exception Check.Repro.Parse_error _) -> None
+  | _ | (exception Util.Json.Parse_error _) -> None
 
 (* N clients, each on its own connection and thread, each replaying the
    whole golden corpus: every response must be byte-identical to the

@@ -279,12 +279,12 @@ let test_riscv_curve_params_distinct () =
 
 let curve_line generator =
   let dfg_spec =
-    { Check.Instance.kinds = [ Ir.Op.Mul; Ir.Op.Add ];
+    { Batch.Instance.kinds = [ Ir.Op.Mul; Ir.Op.Add ];
       edges = [ (0, 1) ];
       live_outs = [] }
   in
   let instance =
-    { Check.Instance.tasks = []; budget = 0; eps = 1.0; dfg = dfg_spec }
+    { Batch.Instance.tasks = []; budget = 0; eps = 1.0; dfg = dfg_spec }
   in
   Batch.Protocol.request_line
     { Batch.Protocol.id = "t0"; op = Batch.Protocol.Curve; instance; generator }

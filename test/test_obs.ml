@@ -379,12 +379,12 @@ let test_snapshot_json_shapes () =
   Obs.Metrics.inc_s "t.json_timer" 0.125;
   Obs.Metrics.observe "t.json_hist" 0.25;
   let d = Obs.Snapshot.delta ~before:s0 ~after:(Obs.Snapshot.take ()) in
-  let tj = Obs.Snapshot.telemetry_json d in
+  let tj = Util.Json.to_string (Obs.Snapshot.telemetry_json d) in
   check bool "counters half" true (contains tj "\"counters\"");
   check bool "timers half" true (contains tj "\"timers\"");
   check bool "counter value" true (contains tj "\"t.json_counter\": 4");
   check bool "timer value" true (contains tj "\"t.json_timer\": 0.125");
-  let hj = Obs.Snapshot.histograms_json d in
+  let hj = Util.Json.to_string (Obs.Snapshot.histograms_json d) in
   check bool "histogram entry" true (contains hj "\"t.json_hist\"");
   check bool "histogram stats fields" true (contains hj "\"p99\"")
 
@@ -455,8 +455,8 @@ let golden_requests () =
 let test_solvers_no_kind_clash () =
   let s0 = Obs.Snapshot.take () in
   let inst = Check.Gen.instance (Util.Prng.create 11) in
-  let tasks = Check.Instance.tasks inst in
-  let budget = inst.Check.Instance.budget in
+  let tasks = Batch.Instance.tasks inst in
+  let budget = inst.Batch.Instance.budget in
   ignore (Core.Edf_select.run ~budget tasks : Core.Selection.t);
   ignore
     (Core.Edf_select.run_sweep ~budgets:[ budget / 2; budget ] tasks
@@ -467,14 +467,14 @@ let test_solvers_no_kind_clash () =
       : Isa.Config.t);
   let entities =
     List.map
-      (fun (ts : Check.Instance.task_spec) ->
+      (fun (ts : Batch.Instance.task_spec) ->
         Array.of_list
           (List.map
-             (fun (p : Check.Instance.curve_point) ->
+             (fun (p : Batch.Instance.curve_point) ->
                { Pareto.Mo_select.delta = float_of_int (ts.base - p.cycles);
                  cost = p.area })
              ts.points))
-      inst.Check.Instance.tasks
+      inst.Batch.Instance.tasks
   in
   ignore
     (Pareto.Mo_select.exact_front_guarded ~base:1000. entities

@@ -9,18 +9,9 @@ let check = Alcotest.check
 let bool = Alcotest.bool
 let int = Alcotest.int
 
-(* JSON is read back with the batch/daemon wire parser, which rejects
+(* JSON is read back with the repo's one codec, whose parser rejects
    anything RFC 8259 does not allow. *)
-
-type json = Check.Repro.json =
-  | Null
-  | Bool of bool
-  | Num of float
-  | Str of string
-  | Arr of json list
-  | Obj of (string * json) list
-
-let parse_json = Check.Repro.parse
+open Util.Json
 
 let member key = function
   | Obj fields -> List.assoc_opt key fields
@@ -138,7 +129,7 @@ let test_chrome_json_round_trip () =
   ignore
     (Engine.Trace.with_span "outer" ~attrs:[ ("quote", {|he said "hi"|}) ]
        (fun () -> Engine.Trace.with_span "inner" (fun () -> 0)));
-  let j = parse_json (Engine.Trace.to_chrome_json ()) in
+  let j = parse (Engine.Trace.to_chrome_json ()) in
   match member "traceEvents" j with
   | Some (Arr events) ->
     check int "one event per span" 2 (List.length events);
@@ -200,7 +191,7 @@ let test_histogram_constant_and_empty () =
 
 let test_histogram_json () =
   Obs.Metrics.reset ~kind:Obs.Metrics.Hist ();
-  let json () = parse_json (Obs.Snapshot.histograms_json (Obs.Snapshot.take ())) in
+  let json () = parse (to_string (Obs.Snapshot.histograms_json (Obs.Snapshot.take ()))) in
   check bool "empty registry is valid JSON" true (json () = Obj []);
   Obs.Metrics.observe {|na"me|} 3.5;
   match member {|na"me|} (json ()) with
@@ -291,13 +282,13 @@ let test_log_jsonl_sink () =
   check int "filtered records stay out of the sink" 2 (List.length lines);
   List.iter
     (fun line ->
-      let j = parse_json line in
+      let j = parse line in
       check bool "ts is a number" true
         (match member "ts" j with Some (Num _) -> true | _ -> false);
       check bool "level is a string" true
         (match member "level" j with Some (Str _) -> true | _ -> false))
     lines;
-  match parse_json (List.hd lines) |> member "msg" with
+  match parse (List.hd lines) |> member "msg" with
   | Some (Str msg) ->
     check Alcotest.string "message round-trips quotes" {|said "hi" to world|} msg
   | _ -> Alcotest.fail "msg missing"
@@ -306,7 +297,7 @@ let test_log_jsonl_sink () =
 
 let test_telemetry_json_valid () =
   Obs.Metrics.reset ~kind:Obs.Metrics.Counter ();
-  let json () = parse_json (Obs.Snapshot.telemetry_json (Obs.Snapshot.take ())) in
+  let json () = parse (to_string (Obs.Snapshot.telemetry_json (Obs.Snapshot.take ()))) in
   (match json () with
    | Obj [ ("counters", Obj []); ("timers", Obj []) ] -> ()
    | _ -> Alcotest.fail "empty tables must serialise to empty objects");

@@ -167,14 +167,14 @@ let test_tiny_eps_approx_is_partial () =
   let answer = Batch.Service.answer ~spec req in
   let elapsed = Unix.gettimeofday () -. t0 in
   check bool "answered in under 1 s" true (elapsed < 1.);
-  let module R = Check.Repro in
-  match R.parse answer with
-  | R.Obj fields ->
+  let module J = Util.Json in
+  match J.parse answer with
+  | J.Obj fields ->
     check bool "reported partial" true
-      (List.assoc_opt "status" fields = Some (R.Str "partial"));
+      (List.assoc_opt "status" fields = Some (J.Str "partial"));
     check bool "software point kept" true
       (List.assoc_opt "points" fields
-       = Some (R.Arr [ R.Obj [ ("cost", R.Num 0.); ("value", R.Num 90.) ] ]))
+       = Some (J.Arr [ J.Obj [ ("cost", J.Num 0.); ("value", J.Num 90.) ] ]))
   | _ -> Alcotest.failf "answer is not an object: %s" answer
 
 (* The golden g08 Pareto request with eps = 1e-300 makes the FPTAS
