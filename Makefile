@@ -24,13 +24,19 @@ fmt:
 check: build fmt test
 
 # Regenerate the golden corpus (test/golden/) after a *deliberate*
-# output change: re-emit the request set, then record the sequential
-# solver's responses as the new expected outputs.  Review the diff —
-# test_golden exists to make silent drift loud.
+# output change: re-emit the request set, record the sequential
+# solver's responses as the new expected outputs, and re-record the
+# Chapter 3 experiments' text (test/golden/experiments/).  Review the
+# diff — test_golden exists to make silent drift loud.
+GOLDEN_EXPERIMENTS = f3.2 f3.3 f3.4 a2
 golden-update: build
 	dune exec test/golden_gen.exe > test/golden/cases.jsonl
 	dune exec bin/isecustom.exe -- batch --no-cache --sequential \
 	  --out test/golden/expected.jsonl test/golden/cases.jsonl
+	for id in $(GOLDEN_EXPERIMENTS); do \
+	  dune exec bin/isecustom.exe -- experiment --no-cache $$id \
+	    > test/golden/experiments/$$id.txt || exit 1; \
+	done
 
 # Property-based differential fuzzing (lib/check): every solver vs its
 # brute-force oracle on SEED-replayable random instances, BUDGET cases

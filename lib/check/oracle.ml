@@ -98,6 +98,180 @@ let pareto_exhaustive ?guard ~base entities =
   in
   Util.Pareto_front.front (explore 0 0. entities)
 
+(* The Chapter 3 solvers as they stood before the allocation-free
+   kernels, minus their trace and telemetry: the EDF DP copies a row per
+   task and scans each cell's points through a closure, recomputing
+   every point's utilization and offset per cell; the RMS
+   branch-and-bound re-sorts a task's points at every node and rebuilds
+   the prefix task array and the IntSet of Theorem 1 scheduling points
+   for every configuration it tests.  Kept unchanged as the
+   differential references the [select] suite compares the production
+   kernels with, bit for bit. *)
+module Edf_dp_ref = struct
+  let positive_areas tasks =
+    List.concat_map
+      (fun (t : Rt.Task.t) ->
+        Array.to_list (Isa.Config.points t.curve)
+        |> List.filter_map (fun (p : Isa.Config.point) ->
+               if p.area > 0 then Some p.area else None))
+      tasks
+
+  let dp_tables ~delta ~cells (tasks : Rt.Task.t array) =
+    let n = Array.length tasks in
+    let u = Array.make cells 0. in
+    let choice = Array.make_matrix n cells 0 in
+    for i = 0 to n - 1 do
+      let task = tasks.(i) in
+      let points = Isa.Config.points task.curve in
+      let prev = Array.copy u in
+      for cell = 0 to cells - 1 do
+        let best = ref infinity and best_j = ref 0 in
+        Array.iteri
+          (fun j (p : Isa.Config.point) ->
+            if p.area <= cell * delta then begin
+              let rest = prev.((cell * delta - p.area) / delta) in
+              let total = (float_of_int p.cycles /. float_of_int task.period) +. rest in
+              if total < !best then begin
+                best := total;
+                best_j := j
+              end
+            end)
+          points;
+        u.(cell) <- !best;
+        choice.(i).(cell) <- !best_j
+      done
+    done;
+    choice
+
+  let traceback ~delta ~choice (tasks : Rt.Task.t array) start_cell =
+    let n = Array.length tasks in
+    let assignment = ref [] in
+    let cell = ref start_cell in
+    for i = n - 1 downto 0 do
+      let task = tasks.(i) in
+      let j = choice.(i).(!cell) in
+      let p = (Isa.Config.points task.curve).(j) in
+      assignment := (task, p) :: !assignment;
+      cell := !cell - (p.Isa.Config.area / delta)
+    done;
+    Core.Selection.of_assignment !assignment
+
+  let run_sweep ~budgets tasks =
+    let tasks = Array.of_list tasks in
+    if Array.length tasks = 0 then
+      List.map (fun _ -> Core.Selection.of_assignment []) budgets
+    else begin
+      let max_budget = List.fold_left max 0 budgets in
+      let delta =
+        max 1 (Util.Numeric.gcd_list (budgets @ positive_areas (Array.to_list tasks)))
+      in
+      let cells = (max_budget / delta) + 1 in
+      let choice = dp_tables ~delta ~cells tasks in
+      List.map (fun b -> traceback ~delta ~choice tasks (b / delta)) budgets
+    end
+
+  let run ~budget tasks =
+    match run_sweep ~budgets:[ budget ] tasks with
+    | [ sel ] -> sel
+    | _ -> assert false
+end
+
+module Rms_ref = struct
+  module IntSet = Set.Make (Int)
+
+  let scheduling_points tasks j t =
+    let rec s j t acc =
+      if t <= 0 then acc
+      else if j = 0 then IntSet.add t acc
+      else
+        let _, p = tasks.(j - 1) in
+        let acc = s (j - 1) (t / p * p) acc in
+        s (j - 1) t acc
+    in
+    s j t IntSet.empty
+
+  let rms_schedulable_prefix tasks i =
+    let _, pi = tasks.(i) in
+    let workload t =
+      let w = ref 0 in
+      for j = 0 to i do
+        let c, p = tasks.(j) in
+        w := !w + (Util.Numeric.ceil_div t p * c)
+      done;
+      !w
+    in
+    IntSet.exists (fun t -> workload t <= t) (scheduling_points tasks i pi)
+
+  let run_instrumented ~guard ~use_bound ~fastest_first ~budget tasks =
+    let tasks =
+      Array.of_list
+        (List.sort (fun (a : Rt.Task.t) (b : Rt.Task.t) -> compare a.period b.period) tasks)
+    in
+    let n = Array.length tasks in
+    let suffix_best = Array.make (n + 1) 0. in
+    for i = n - 1 downto 0 do
+      suffix_best.(i) <-
+        suffix_best.(i + 1)
+        +. (float_of_int (Isa.Config.min_cycles tasks.(i).curve)
+            /. float_of_int tasks.(i).period)
+    done;
+    let incumbent_u = ref infinity in
+    let incumbent = ref None in
+    let explored = ref 0 and pruned_bound = ref 0 in
+    let pruned_schedulability = ref 0 and pruned_area = ref 0 in
+    let cycles = Array.make n 0 in
+    let chosen = Array.make n { Isa.Config.area = 0; cycles = 0 } in
+    let prefix_tasks i =
+      Array.init (i + 1) (fun j -> (cycles.(j), tasks.(j).Rt.Task.period))
+    in
+    let rec search i area u =
+      if not (Engine.Guard.tick guard) then ()
+      else begin
+        incr explored;
+        search_node i area u
+      end
+    and search_node i area u =
+      if i = n then begin
+        if u < !incumbent_u then begin
+          incumbent_u := u;
+          incumbent :=
+            Some (Array.to_list (Array.init n (fun j -> (tasks.(j), chosen.(j)))))
+        end
+      end
+      else begin
+        let task = tasks.(i) in
+        let points = Array.copy (Isa.Config.points task.curve) in
+        if fastest_first then
+          Array.sort (fun (a : Isa.Config.point) b -> compare a.cycles b.cycles) points;
+        Array.iter
+          (fun (p : Isa.Config.point) ->
+            if p.area > budget - area then incr pruned_area
+            else begin
+              cycles.(i) <- p.cycles;
+              if not (rms_schedulable_prefix (prefix_tasks i) i) then
+                incr pruned_schedulability
+              else begin
+                let u' = u +. (float_of_int p.cycles /. float_of_int task.period) in
+                if use_bound && u' +. suffix_best.(i + 1) >= !incumbent_u then
+                  incr pruned_bound
+                else begin
+                  chosen.(i) <- p;
+                  search (i + 1) (area + p.area) u'
+                end
+              end
+            end)
+          points
+      end
+    in
+    search 0 0 0.;
+    ( Option.map Core.Selection.of_assignment !incumbent,
+      { Core.Rms_select.explored = !explored;
+        pruned_bound = !pruned_bound;
+        pruned_schedulability = !pruned_schedulability;
+        pruned_area = !pruned_area;
+        status = Engine.Guard.status guard } )
+end
+
 (* The Chapter 4 group-knapsack DP as it stood before the in-place
    kernel of [Pareto.Mo_select]: fresh full-width arrays for every
    entity row, scaled costs recomputed per (cell, option), one fresh

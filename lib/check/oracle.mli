@@ -53,6 +53,30 @@ val pareto_exhaustive :
     of entity options (a zero option is added per entity, mirroring
     {!Pareto.Mo_select}'s convention) and filtering dominated points. *)
 
+(** The Chapter 3 solvers as they stood before the allocation-free
+    kernels: the EDF DP with a row copy per task and per-cell
+    recomputation of each point's utilization and offset, and the RMS
+    branch-and-bound that re-sorts a task's points at every node and
+    rebuilds Theorem 1's scheduling points for every configuration it
+    tests.  Not brute-force oracles but the differential references for
+    {!Core.Edf_select} and {!Core.Rms_select}, which must return the
+    same assignments, float bits included, and the same search
+    counters.  They carry none of the production trace or telemetry. *)
+module Edf_dp_ref : sig
+  val run : budget:int -> Rt.Task.t list -> Core.Selection.t
+  val run_sweep : budgets:int list -> Rt.Task.t list -> Core.Selection.t list
+end
+
+module Rms_ref : sig
+  val run_instrumented :
+    guard:Engine.Guard.t ->
+    use_bound:bool ->
+    fastest_first:bool ->
+    budget:int ->
+    Rt.Task.t list ->
+    Core.Selection.t option * Core.Rms_select.stats
+end
+
 (** The Chapter 4 group-knapsack solvers as they stood before the
     allocation-free kernel: a fresh DP table per entity row, scaled
     costs recomputed per cell.  Not a brute-force oracle but the

@@ -1060,6 +1060,137 @@ let rtreconfig_matches_reference =
                   (Printf.sprintf "optimal (max_nodes %d)" max_nodes)
                   (S.optimal ~max_nodes m) (R.optimal ~max_nodes m)) ]) }
 
+(* Chapter 3 inputs for the kernel-vs-reference properties: the
+   instance's task set, reshaped by a draw seeded from the instance.
+   Areas scaled by a common factor the budget need not share make the
+   DP granularity exceed 1; one period for every task and small cycle
+   counts make equal utilizations, and so tie breaks, common; a
+   zero-area point can replace the software one; a task can repeat.
+   Every curve lists its points by increasing area, hence decreasing
+   cycles, so the fastest-first order really reorders them. *)
+let chapter3_tasks prng inst =
+  let scale = Util.Prng.choose prng [| 1; 1; 3; 10 |] in
+  let tied = Util.Prng.int prng 3 = 0 in
+  let zero_area = Util.Prng.int prng 4 = 0 in
+  let reshape (ts : Batch.Instance.task_spec) =
+    let base = if tied then 16 else ts.base in
+    let points =
+      List.map
+        (fun (p : Batch.Instance.curve_point) ->
+          { Batch.Instance.area = p.area * scale;
+            cycles = (if tied then 1 + (p.cycles mod 15) else p.cycles) })
+        ts.points
+    in
+    { Batch.Instance.period = (if tied then 64 else ts.period);
+      base;
+      points =
+        (if zero_area && base > 1 then
+           { Batch.Instance.area = 0; cycles = base - 1 } :: points
+         else points) }
+  in
+  let specs = List.map reshape inst.Batch.Instance.tasks in
+  let specs =
+    match specs with
+    | first :: _ when Util.Prng.int prng 3 = 0 -> specs @ [ first ]
+    | _ -> specs
+  in
+  let budget =
+    Util.Prng.choose prng
+      [| 0; inst.Batch.Instance.budget; inst.Batch.Instance.budget * scale;
+         Util.Prng.int prng (1 + (40 * scale * List.length specs)) |]
+  in
+  (Batch.Instance.tasks { inst with Batch.Instance.tasks = specs }, budget)
+
+let same_selection (a : Core.Selection.t) (b : Core.Selection.t) =
+  let named (sel : Core.Selection.t) =
+    List.map (fun ((t : Rt.Task.t), p) -> (t.name, p)) sel.assignment
+  in
+  named a = named b && a.area = b.area && same_float a.utilization b.utilization
+
+let selection_diff what (got : Core.Selection.t) (want : Core.Selection.t) =
+  if same_selection got want then Pass
+  else if same_float got.utilization want.utilization && got.area = want.area then
+    failf "%s: same utilization %h and area %d as the reference, other points" what
+      got.utilization got.area
+  else
+    failf "%s: utilization %h area %d, reference %h area %d" what got.utilization
+      got.area want.utilization want.area
+
+(* The EDF kernel against {!Oracle.Edf_dp_ref}: the same points, area
+   and utilization bits, for one budget and for a sweep. *)
+let edf_dp_matches_reference =
+  { name = "edf_dp_matches_reference";
+    suite = "select";
+    run =
+      (fun inst ->
+        let module R = Oracle.Edf_dp_ref in
+        let tasks, budget = chapter3_tasks (chapter_prng inst) inst in
+        let budgets = List.sort_uniq compare [ 0; budget / 2; budget; budget + 3 ] in
+        first_failure
+          ((fun () ->
+             selection_diff
+               (Printf.sprintf "run at budget %d" budget)
+               (Core.Edf_select.run ~budget tasks) (R.run ~budget tasks))
+           :: List.map2
+                (fun b (got, want) () ->
+                  selection_diff (Printf.sprintf "run_sweep at budget %d" b) got want)
+                budgets
+                (List.combine
+                   (Core.Edf_select.run_sweep ~budgets tasks)
+                   (R.run_sweep ~budgets tasks)))) }
+
+(* The RMS branch-and-bound against {!Oracle.Rms_ref}: the same
+   incumbent, bit for bit, and the same explored and pruned counts and
+   status, with each pruning switch on and off, unlimited and under a
+   small fuel budget that leaves a [Partial] incumbent. *)
+let rms_bnb_matches_reference =
+  { name = "rms_bnb_matches_reference";
+    suite = "select";
+    run =
+      (fun inst ->
+        let module R = Oracle.Rms_ref in
+        let prng = chapter_prng inst in
+        let tasks, budget = chapter3_tasks prng inst in
+        let fuel = 1 + Util.Prng.int prng 40 in
+        let against ~use_bound ~fastest_first fuel () =
+          let what =
+            Printf.sprintf "use_bound %b, fastest_first %b, fuel %s" use_bound
+              fastest_first
+              (match fuel with Some f -> string_of_int f | None -> "unlimited")
+          in
+          let guard () = Engine.Guard.create ?fuel () in
+          let got, st =
+            Core.Rms_select.run_instrumented ~guard:(guard ()) ~use_bound
+              ~fastest_first ~budget tasks
+          in
+          let want, st_ref =
+            R.run_instrumented ~guard:(guard ()) ~use_bound ~fastest_first ~budget
+              tasks
+          in
+          if st <> st_ref then
+            failf
+              "%s: explored %d, pruned %d/%d/%d (bound/sched/area), status %s; \
+               reference %d, %d/%d/%d, %s"
+              what st.explored st.pruned_bound st.pruned_schedulability
+              st.pruned_area
+              (Engine.Guard.string_of_status st.status)
+              st_ref.explored st_ref.pruned_bound st_ref.pruned_schedulability
+              st_ref.pruned_area
+              (Engine.Guard.string_of_status st_ref.status)
+          else
+            match (got, want) with
+            | None, None -> Pass
+            | Some g, Some w -> selection_diff what g w
+            | Some _, None -> failf "%s: incumbent where the reference has none" what
+            | None, Some _ -> failf "%s: no incumbent where the reference has one" what
+        in
+        first_failure
+          (List.concat_map
+             (fun (use_bound, fastest_first) ->
+               [ against ~use_bound ~fastest_first None;
+                 against ~use_bound ~fastest_first (Some fuel) ])
+             [ (true, true); (true, false); (false, true); (false, false) ])) }
+
 (* The index-based evaluators against the specification on random
    placements, feasible or not: {!Reconfig.Compiled} against
    [Problem.feasible]/[net_gain], {!Rtreconfig.Compiled} against
@@ -1293,6 +1424,8 @@ let all =
     edf_budget_monotone;
     rms_guarded_partial_sound;
     rms_pruning_invariant;
+    edf_dp_matches_reference;
+    rms_bnb_matches_reference;
     rms_test_matches_response_time;
     exact_front_matches_oracle;
     approx_front_eps_covers;

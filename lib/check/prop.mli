@@ -3,7 +3,8 @@
     instances.
 
     Suites: [select] (Chapter 3 DP / branch-and-bound / heuristics vs
-    exhaustive enumeration), [sched] (Bini–Buttazzo exact RMS test vs
+    exhaustive enumeration, and the DP and branch-and-bound vs their
+    kept references in {!Oracle.Edf_dp_ref} and {!Oracle.Rms_ref}), [sched] (Bini–Buttazzo exact RMS test vs
     response-time analysis), [pareto] (exact DP front vs cross-product
     enumeration, FPTAS ε-cover, the group-knapsack kernel vs its
     pre-rewrite reference), [curve] (identification pipeline

@@ -39,12 +39,23 @@ let still_fails (p : Prop.t) inst =
   | Prop.Fail _ -> true
   | Prop.Pass | Prop.Skip _ -> false
 
+(* mkdir -p: the repro directory named on the command line need not
+   exist yet *)
+let rec ensure_dir dir =
+  if not (Sys.file_exists dir) then begin
+    ensure_dir (Filename.dirname dir);
+    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
+  end
+
 let write_repro ~config ~seed (p : Prop.t) shrunk =
   let file =
     Filename.concat config.repro_dir
       (Printf.sprintf "repro-%s-%d.json" p.Prop.name seed)
   in
-  match Repro.write ~file ~prop:p.Prop.name ~seed shrunk with
+  match
+    ensure_dir config.repro_dir;
+    Repro.write ~file ~prop:p.Prop.name ~seed shrunk
+  with
   | () -> Some file
   | exception (Sys_error _ | Unix.Unix_error _) -> None
 
@@ -139,11 +150,21 @@ let run ?(fmt = null_fmt) ?props config =
     (if List.length summary.failures = 1 then "" else "s");
   summary
 
+(* An off-by-one in the DP's area budget: the classic bug class the
+   differential suite exists to catch.  Dropping one deci-adder changes
+   the optimum exactly when the true optimum needs the full budget. *)
+let broken_edf ~budget tasks = Core.Edf_select.run ~budget:(max 0 (budget - 1)) tasks
+
+let selftest_prop = Prop.edf_against ~name:"selftest_edf_off_by_one" broken_edf
+
 let replay ?(fmt = null_fmt) ?(props = Prop.all) file =
   match Repro.read file with
   | Error msg -> Error (Printf.sprintf "%s: %s" file msg)
   | Ok { Repro.prop; seed; instance } ->
-    (match List.find_opt (fun (p : Prop.t) -> p.Prop.name = prop) props with
+    (* the self-test writes repro files too, so its property replays
+       whatever the caller's set *)
+    let known = props @ [ selftest_prop ] in
+    (match List.find_opt (fun (p : Prop.t) -> p.Prop.name = prop) known with
      | None -> Error (Printf.sprintf "%s: unknown property %s" file prop)
      | Some p ->
        Format.fprintf fmt "replaying %s (recorded from seed %d):@.%a@." prop
@@ -318,16 +339,10 @@ let fault_selftest ?(fmt = null_fmt) () =
              (List.length stages))
       | exception Stage_failed msg -> Error msg)
 
-(* An off-by-one in the DP's area budget: the classic bug class the
-   differential suite exists to catch.  Dropping one deci-adder changes
-   the optimum exactly when the true optimum needs the full budget. *)
-let broken_edf ~budget tasks = Core.Edf_select.run ~budget:(max 0 (budget - 1)) tasks
-
 let selftest ?(fmt = null_fmt) ~seed ~repro_dir () =
-  let prop = Prop.edf_against ~name:"selftest_edf_off_by_one" broken_edf in
   let config = { default with seed; budget = 2000; repro_dir } in
   Format.fprintf fmt "self-test: EDF DP with an off-by-one budget injected@.";
-  let summary = run ~fmt ~props:[ prop ] config in
+  let summary = run ~fmt ~props:[ selftest_prop ] config in
   match summary.failures with
   | [] ->
     Error
@@ -338,7 +353,7 @@ let selftest ?(fmt = null_fmt) ~seed ~repro_dir () =
     (match f.repro_file with
      | None -> Error "bug caught but no repro file could be written"
      | Some file ->
-       (match replay ~fmt ~props:[ prop ] file with
+       (match replay ~fmt file with
         | Ok false ->
           Ok
             (Printf.sprintf

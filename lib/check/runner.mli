@@ -10,7 +10,8 @@ type config = {
   seed : int;
   budget : int;  (** random cases per property *)
   suites : string list;  (** suite filter; [[]] means every suite *)
-  repro_dir : string;  (** where failure repro files are written *)
+  repro_dir : string;
+      (** where failure repro files are written; created if missing *)
 }
 
 val default : config
@@ -48,7 +49,9 @@ val replay : ?fmt:Format.formatter -> ?props:Prop.t list -> string -> (bool, str
 (** Re-run a repro file's property on its recorded instance: [Ok true]
     when the property now passes, [Ok false] when the failure
     reproduces, [Error] when the file is unreadable or names an unknown
-    property. *)
+    property.  The property is looked up in [props] (default
+    {!Prop.all}) and, because {!selftest} writes repro files too, among
+    the self-test's deliberately broken property. *)
 
 val fault_selftest : ?fmt:Format.formatter -> unit -> (string, string) result
 (** Drive every wired {!Engine.Fault} injection point (cache.write,

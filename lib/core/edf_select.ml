@@ -10,31 +10,45 @@ let granularity ~budget tasks =
   max 1 (Util.Numeric.gcd_list (budget :: positive_areas tasks))
 
 (* u.(a) = best utilization of the processed prefix with area budget
-   a·Δ; choice.(i).(a) = configuration index picked for task i. *)
+   a·Δ; choice.(i).(a) = configuration index picked for task i.  Two
+   row buffers swap roles per task.  A point's utilization and its
+   width in cells are computed once per task, not once per cell: Δ
+   divides every positive area, so [area / delta] is exact and
+   [cell - acell.(j)] is the cell [(cell·Δ - area) / Δ] of the
+   textbook recurrence. *)
 let dp_tables ~delta ~cells (tasks : Rt.Task.t array) =
   let n = Array.length tasks in
-  let u = Array.make cells 0. in
+  let prev = ref (Array.make cells 0.) and cur = ref (Array.make cells 0.) in
   let choice = Array.make_matrix n cells 0 in
   for i = 0 to n - 1 do
     let task = tasks.(i) in
     let points = Isa.Config.points task.curve in
-    let prev = Array.copy u in
+    let m = Array.length points in
+    let cost =
+      Array.map
+        (fun (p : Isa.Config.point) ->
+          float_of_int p.cycles /. float_of_int task.period)
+        points
+    in
+    let acell = Array.map (fun (p : Isa.Config.point) -> p.area / delta) points in
+    let u = !cur and rest = !prev and row = choice.(i) in
     for cell = 0 to cells - 1 do
       let best = ref infinity and best_j = ref 0 in
-      Array.iteri
-        (fun j (p : Isa.Config.point) ->
-          if p.area <= cell * delta then begin
-            let rest = prev.((cell * delta - p.area) / delta) in
-            let total = (float_of_int p.cycles /. float_of_int task.period) +. rest in
-            if total < !best then begin
-              best := total;
-              best_j := j
-            end
-          end)
-        points;
+      for j = 0 to m - 1 do
+        let a = acell.(j) in
+        if a <= cell then begin
+          let total = cost.(j) +. rest.(cell - a) in
+          if total < !best then begin
+            best := total;
+            best_j := j
+          end
+        end
+      done;
       u.(cell) <- !best;
-      choice.(i).(cell) <- !best_j
-    done
+      row.(cell) <- !best_j
+    done;
+    prev := u;
+    cur := rest
   done;
   choice
 

@@ -37,13 +37,33 @@ let run_instrumented ?guard ?(use_bound = true) ?(fastest_first = true) ~budget
   let incumbent = ref None in
   let explored = ref 0 and pruned_bound = ref 0 in
   let pruned_schedulability = ref 0 and pruned_area = ref 0 in
+  (* Each level's visiting order, per-point utilizations and Theorem 1
+     scheduling points depend only on the task set, so they are built
+     once per run rather than at every search-tree node. *)
+  let order =
+    Array.map
+      (fun (task : Rt.Task.t) ->
+        let points = Array.copy (Isa.Config.points task.curve) in
+        if fastest_first then
+          Array.sort (fun (a : Isa.Config.point) b -> compare a.cycles b.cycles) points;
+        points)
+      tasks
+  in
+  let cost =
+    Array.mapi
+      (fun i points ->
+        Array.map
+          (fun (p : Isa.Config.point) ->
+            float_of_int p.cycles /. float_of_int tasks.(i).Rt.Task.period)
+          points)
+      order
+  in
+  let periods = Array.map (fun (task : Rt.Task.t) -> task.period) tasks in
+  let sched_points = Array.init n (Rt.Sched.level_points periods) in
   (* cycles.(j) for j < i holds the chosen execution times, feeding the
      incremental exact test for task i. *)
   let cycles = Array.make n 0 in
   let chosen = Array.make n { Isa.Config.area = 0; cycles = 0 } in
-  let prefix_tasks i =
-    Array.init (i + 1) (fun j -> (cycles.(j), tasks.(j).Rt.Task.period))
-  in
   (* One fuel unit per search-tree node: when the guard runs out the
      whole tree unwinds (every pending call re-checks and returns),
      leaving the incumbent — always a complete, schedulable, in-budget
@@ -63,28 +83,25 @@ let run_instrumented ?guard ?(use_bound = true) ?(fastest_first = true) ~budget
       end
     end
     else begin
-      let task = tasks.(i) in
-      let points = Array.copy (Isa.Config.points task.curve) in
-      if fastest_first then
-        Array.sort (fun (a : Isa.Config.point) b -> compare a.cycles b.cycles) points;
-      Array.iter
-        (fun (p : Isa.Config.point) ->
-          if p.area > budget - area then incr pruned_area
+      let points = order.(i) and costs = cost.(i) and level = sched_points.(i) in
+      for k = 0 to Array.length points - 1 do
+        let p = points.(k) in
+        if p.area > budget - area then incr pruned_area
+        else begin
+          cycles.(i) <- p.cycles;
+          if not (Rt.Sched.level_fits ~points:level ~periods ~cycles i) then
+            incr pruned_schedulability
           else begin
-            cycles.(i) <- p.cycles;
-            if not (Rt.Sched.rms_schedulable_prefix (prefix_tasks i) i) then
-              incr pruned_schedulability
+            let u' = u +. costs.(k) in
+            if use_bound && u' +. suffix_best.(i + 1) >= !incumbent_u then
+              incr pruned_bound
             else begin
-              let u' = u +. (float_of_int p.cycles /. float_of_int task.period) in
-              if use_bound && u' +. suffix_best.(i + 1) >= !incumbent_u then
-                incr pruned_bound
-              else begin
-                chosen.(i) <- p;
-                search (i + 1) (area + p.area) u'
-              end
+              chosen.(i) <- p;
+              search (i + 1) (area + p.area) u'
             end
-          end)
-        points
+          end
+        end
+      done
     end
   in
   search 0 0 0.;

@@ -51,6 +51,9 @@ let figure_3_2 fmt =
     Core.Heuristics.all;
   show "optimal (Algorithm 1)" (Core.Edf_select.run ~budget tasks)
 
+(* The budgets 0, 10, ..., 100 % of MaxArea that Figures 3.3 and 3.4 plot. *)
+let area_steps max_area = List.init 11 (fun step -> max_area * step / 10)
+
 (* Figure 3.3: utilization vs area for each task set, both policies. *)
 let figure_3_3 fmt =
   Report.banner fmt ~id:"Figure 3.3" "utilization vs area, EDF and RMS";
@@ -70,27 +73,31 @@ let figure_3_3 fmt =
             [ Report.cell ~width:10 (Printf.sprintf "set %d" set_index);
               Report.cell ~width:8 (Printf.sprintf "U=%.2f" u);
               Report.cell ~width:60 "area%:  0  10  20  30  40  50  60  70  80  90 100" ];
-          let edf_cells = ref [] and rms_cells = ref [] in
-          for step = 0 to 10 do
-            let budget = max_area * step / 10 in
-            let edf = Core.Edf_select.run ~budget tasks in
-            let edf_u = edf.Core.Selection.utilization in
-            if u > edf_u && step >= 5 then
-              record (step * 10) ((u -. edf_u) /. u *. 100.);
-            edf_cells := Printf.sprintf "%.3f" edf_u :: !edf_cells;
-            let rms_text =
-              match Core.Rms_select.run ~budget tasks with
-              | Some sel -> Printf.sprintf "%.3f" sel.Core.Selection.utilization
-              | None -> "--"
-            in
-            rms_cells := rms_text :: !rms_cells
-          done;
+          let budgets = area_steps max_area in
+          (* one DP for the row's 11 budgets, bit-identical to 11 runs *)
+          let edf_cells =
+            List.mapi
+              (fun step (edf : Core.Selection.t) ->
+                let edf_u = edf.utilization in
+                if u > edf_u && step >= 5 then
+                  record (step * 10) ((u -. edf_u) /. u *. 100.);
+                Printf.sprintf "%.3f" edf_u)
+              (Core.Edf_select.run_sweep ~budgets tasks)
+          in
+          let rms_cells =
+            List.map
+              (fun budget ->
+                match Core.Rms_select.run ~budget tasks with
+                | Some sel -> Printf.sprintf "%.3f" sel.Core.Selection.utilization
+                | None -> "--")
+              budgets
+          in
           Report.row fmt
             [ Report.cell ~width:10 ""; Report.cell ~width:8 "EDF";
-              String.concat " " (List.rev_map (Report.cellr ~width:6) !edf_cells) ];
+              String.concat " " (List.map (Report.cellr ~width:6) edf_cells) ];
           Report.row fmt
             [ Report.cell ~width:10 ""; Report.cell ~width:8 "RMS";
-              String.concat " " (List.rev_map (Report.cellr ~width:6) !rms_cells) ])
+              String.concat " " (List.map (Report.cellr ~width:6) rms_cells) ])
         utilizations)
     [ 1; 2; 3; 4; 5; 6 ];
   let mean l = Util.Numeric.sum_byf (fun x -> x) l /. float_of_int (List.length l) in
@@ -123,9 +130,7 @@ let figure_3_4 fmt =
       let base_u = software.Core.Selection.utilization in
       List.iter
         (fun (policy, policy_name, select) ->
-          let selections =
-            List.init 11 (fun step -> select (max_area * step / 10))
-          in
+          let selections = select (area_steps max_area) in
           (* the thesis compares against the original configuration or,
              when that is unschedulable, the first schedulable solution *)
           let reference =
@@ -153,8 +158,14 @@ let figure_3_4 fmt =
               Report.cell ~width:8 (Printf.sprintf "%.2f" u);
               String.concat " " cells ])
         [ (Rt.Energy.Edf, "EDF",
-           fun budget -> Core.Edf_select.run_schedulable ~budget tasks);
-          (Rt.Energy.Rms, "RMS", fun budget -> Core.Rms_select.run ~budget tasks) ])
+           fun budgets ->
+             (* one DP for the row, filtered as [run_schedulable] does *)
+             List.map
+               (fun (sel : Core.Selection.t) ->
+                 if sel.utilization <= 1. then Some sel else None)
+               (Core.Edf_select.run_sweep ~budgets tasks));
+          (Rt.Energy.Rms, "RMS",
+           List.map (fun budget -> Core.Rms_select.run ~budget tasks)) ])
     utilizations;
   Report.row fmt
     [ Report.cell ~width:46 "paper: up to 30%; ~14% EDF / ~10% RMS at 75% area"; "" ]

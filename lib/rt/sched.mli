@@ -18,6 +18,19 @@ val rms_schedulable_prefix : (int * int) array -> int -> bool
     priority tasks are irrelevant, which is what makes the
     branch-and-bound traversal order sound. *)
 
+val level_points : int array -> int -> int array
+(** [level_points periods i] — Theorem 1's scheduling points Sᵢ(Pᵢ) for
+    task [i], ascending, given periods sorted increasingly.  They depend
+    only on [periods.(0..i)], so a search over execution times computes
+    them once. *)
+
+val level_fits :
+  points:int array -> periods:int array -> cycles:int array -> int -> bool
+(** [level_fits ~points ~periods ~cycles i] — the Lᵢ ≤ 1 test of
+    {!rms_schedulable_prefix} over precomputed [points]
+    ([level_points periods i]); reads [periods.(0..i)] and
+    [cycles.(0..i)] only, and allocates nothing. *)
+
 val rms_schedulable : (int * int) list -> bool
 (** Exact RMS test for the whole set (max Lᵢ ≤ 1 after sorting by
     period). *)

@@ -25,13 +25,6 @@ let gate name ~enforced ~ok detail =
   in
   Printf.printf "%-40s %s  [%s]\n%!" name detail verdict
 
-let rec rm_rf path =
-  if Sys.is_directory path then begin
-    Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
-    Sys.rmdir path
-  end
-  else Sys.remove path
-
 (* Cold curve generation: on the Chapter 3 task-set kernels a 2-job
    pool must be 1.5x faster than sequential, and the whole obs layer
    (registry + flight ring) may cost at most 5% of three sequential
@@ -161,7 +154,7 @@ let () =
   Printf.printf "perf gates on %d core(s)\n%!" cores;
   let dir = Filename.temp_dir "isecustom-perf-gates" "" in
   Engine.Cache.set_dir dir;
-  Fun.protect ~finally:(fun () -> rm_rf dir) curve_floors;
+  Fun.protect ~finally:(fun () -> Test_helpers.rm_rf dir) curve_floors;
   batch_floors ();
   daemon_floor ();
   generator_floor ();

@@ -207,6 +207,40 @@ let test_injected_bug_caught_and_shrunk () =
   | Ok _ -> ()
   | Error msg -> Alcotest.fail msg
 
+(* `check selftest --repro-dir DIR` on a DIR that does not exist yet:
+   the repro is written there, and replaying it through the CLI's
+   property set reproduces the failure ([Ok false], exit 1). *)
+let test_selftest_repro_replays () =
+  let root = tmp_file "selftest-missing" in
+  let dir = Filename.concat root "nested" in
+  Fun.protect ~finally:(fun () -> Test_helpers.rm_rf root) @@ fun () ->
+  (match Check.Runner.selftest ~seed:42 ~repro_dir:dir () with
+   | Ok _ -> ()
+   | Error msg -> Alcotest.fail msg);
+  let file = Filename.concat dir "repro-selftest_edf_off_by_one-42.json" in
+  check bool "repro written in the created directory" true (Sys.file_exists file);
+  match Check.Runner.replay ~props:(Check.Prop.all @ Check.Props.all) file with
+  | Ok false -> ()
+  | Ok true -> Alcotest.fail "self-test repro passes on replay"
+  | Error msg -> Alcotest.fail msg
+
+(* A plain run creates a missing repro directory as well. *)
+let test_run_creates_repro_dir () =
+  let dir = tmp_file "run-missing" in
+  Fun.protect ~finally:(fun () -> Test_helpers.rm_rf dir) @@ fun () ->
+  let always_fails =
+    { Check.Prop.name = "always_fails"; suite = "test";
+      run = (fun _ -> Check.Prop.Fail "deliberate") }
+  in
+  let summary =
+    Check.Runner.run ~props:[ always_fails ]
+      { (quiet_config ~seed:1 ~budget:1) with repro_dir = dir }
+  in
+  match summary.Check.Runner.failures with
+  | [ { Check.Runner.repro_file = Some file; _ } ] ->
+    check bool "repro file exists" true (Sys.file_exists file)
+  | _ -> Alcotest.fail "expected one failure with a written repro file"
+
 let test_replay_unknown_property () =
   let file = tmp_file "unknown-prop.json" in
   let inst = Check.Gen.instance (Util.Prng.create 1) in
@@ -300,7 +334,11 @@ let () =
           Alcotest.test_case "injected bug caught, shrunk, replayable" `Quick
             test_injected_bug_caught_and_shrunk;
           Alcotest.test_case "replay rejects unknown property" `Quick
-            test_replay_unknown_property ] );
+            test_replay_unknown_property;
+          Alcotest.test_case "self-test repro replays from a new dir" `Quick
+            test_selftest_repro_replays;
+          Alcotest.test_case "run creates a missing repro dir" `Quick
+            test_run_creates_repro_dir ] );
       ( "cache",
         [ Alcotest.test_case "corruption logged and recomputed" `Quick
             test_cache_corruption_logged_and_recomputed ] ) ]

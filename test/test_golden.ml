@@ -105,6 +105,37 @@ let test_batch_warm_matches_expected () =
   check int "every unique request served from the memo"
     stats.Batch.Service.unique stats.Batch.Service.memo_hits
 
+let read_file file = In_channel.with_open_bin file In_channel.input_all
+
+(* The Chapter 3 experiments as `isecustom experiment ID` prints them,
+   against the committed text.  A private cache directory keeps curves
+   cached by earlier runs out of it. *)
+let test_experiment_matches_golden id () =
+  let want = read_file (golden (Filename.concat "experiments" (id ^ ".txt"))) in
+  let e =
+    match Experiments.Registry.find id with
+    | Some e -> e
+    | None -> Alcotest.failf "experiment %s not registered" id
+  in
+  let dir =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "isecustom-golden-%s-%d" id (Unix.getpid ()))
+  in
+  let saved = Engine.Cache.dir () in
+  Engine.Cache.set_dir dir;
+  Fun.protect
+    ~finally:(fun () ->
+      Engine.Cache.set_dir saved;
+      Test_helpers.rm_rf dir)
+  @@ fun () ->
+  let buffer = Buffer.create 4096 in
+  let fmt = Format.formatter_of_buffer buffer in
+  Experiments.Report.render fmt (e.run ());
+  Format.pp_print_flush fmt ();
+  check string (id ^ " output byte-identical") want (Buffer.contents buffer)
+
+let chapter3_golden = [ "f3.2"; "f3.3"; "f3.4"; "a2" ]
+
 let () =
   Alcotest.run "golden"
     [ ( "golden",
@@ -116,4 +147,10 @@ let () =
           Alcotest.test_case "batch (cold) matches expected" `Quick
             test_batch_cold_matches_expected;
           Alcotest.test_case "batch (warm) matches expected" `Quick
-            test_batch_warm_matches_expected ] ) ]
+            test_batch_warm_matches_expected ]
+        @ List.map
+            (fun id ->
+              Alcotest.test_case
+                (Printf.sprintf "experiment %s matches golden" id)
+                `Quick (test_experiment_matches_golden id))
+            chapter3_golden ) ]

@@ -172,3 +172,12 @@ let selected_gain dfg cands =
       end
   in
   go 0. 8 sorted
+
+(* Remove a file or directory tree a test made; a missing path is fine. *)
+let rec rm_rf path =
+  if Sys.file_exists path then
+    if Sys.is_directory path then begin
+      Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
+      Sys.rmdir path
+    end
+    else Sys.remove path
