@@ -26,9 +26,11 @@ check: build fmt test
 # Regenerate the golden corpus (test/golden/) after a *deliberate*
 # output change: re-emit the request set, record the sequential
 # solver's responses as the new expected outputs, and re-record the
-# Chapter 3 experiments' text (test/golden/experiments/).  Review the
-# diff — test_golden exists to make silent drift loud.
-GOLDEN_EXPERIMENTS = f3.2 f3.3 f3.4 a2
+# untimed experiments' text (test/golden/experiments/; f5.3 is checked
+# by CI, the rest by test_golden).  Review the diff — the goldens exist
+# to make silent drift loud.
+GOLDEN_EXPERIMENTS = t3.1 f3.1 f3.2 f3.3 f3.4 t4.1 f4.4 t5.1 t5.2 f5.3 \
+  f6.4 t6.2 f6.10 t7.1 f7.4 a2 a3
 golden-update: build
 	dune exec test/golden_gen.exe > test/golden/cases.jsonl
 	dune exec bin/isecustom.exe -- batch --no-cache --sequential \

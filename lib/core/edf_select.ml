@@ -125,10 +125,6 @@ let run_sweep ~budgets tasks =
       List.map (fun b -> traceback ~delta ~choice tasks (b / delta)) budgets
     end
 
-let run_schedulable ~budget tasks =
-  let sel = run ~budget tasks in
-  if sel.Selection.utilization <= 1. then Some sel else None
-
 let exhaustive ~budget tasks =
   let rec explore acc = function
     | [] ->

@@ -24,10 +24,6 @@ val run_sweep : budgets:int list -> Rt.Task.t list -> Selection.t list
     batch service's grouping relies on this; asserted property-based in
     the [batch] suite).  Counts ["edf.sweeps"]. *)
 
-val run_schedulable : budget:int -> Rt.Task.t list -> Selection.t option
-(** The same, filtered to EDF-schedulable results: [None] when even the
-    optimum exceeds utilization 1. *)
-
 val exhaustive : budget:int -> Rt.Task.t list -> Selection.t
 (** Brute-force cross product of all curves (exponential) — test oracle
     for small instances. *)

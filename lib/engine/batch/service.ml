@@ -123,18 +123,17 @@ let respond req =
    cold one and to the sequential reference. *)
 let answer ?memo ?spec req =
   let p = Protocol.prepare req in
-  match Option.bind memo (fun m -> Engine.Memo.find m ~key:p.Protocol.key) with
-  | Some s -> Protocol.render_response p ~payload:(J.parse s)
-  | None ->
-    let s =
-      J.to_string
-        (payload ?spec ~generator:p.Protocol.req.generator p.Protocol.req.op
-           p.Protocol.canonical)
-    in
-    (match memo with
-     | Some m -> Engine.Memo.store m ~key:p.Protocol.key s
-     | None -> ());
-    Protocol.render_response p ~payload:(J.parse s)
+  let compute () =
+    J.to_string
+      (payload ?spec ~generator:p.Protocol.req.generator p.Protocol.req.op
+         p.Protocol.canonical)
+  in
+  let s =
+    match memo with
+    | Some m -> fst (Engine.Memo.find_or_compute m ~key:p.Protocol.key compute)
+    | None -> compute ()
+  in
+  Protocol.render_response p ~payload:(J.parse s)
 
 type group_result = { entries : (string * string) list; g_memo_hits : int; g_swept : int }
 

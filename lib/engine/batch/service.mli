@@ -46,7 +46,7 @@ val respond : Protocol.request -> string
     batch path is differentially tested against. *)
 
 val answer :
-  ?memo:Engine.Memo.t -> ?spec:Engine.Guard.spec -> Protocol.request -> string
+  ?memo:string Engine.Memo.t -> ?spec:Engine.Guard.spec -> Protocol.request -> string
 (** Solve one request against a shared memo — the resident daemon's
     per-request path.  A memo hit replays the stored payload; a miss
     computes (under [spec] if given, else the process default guard),
@@ -57,7 +57,7 @@ val answer :
 
 val run :
   ?pool:Engine.Parallel.Pool.t ->
-  ?memo:Engine.Memo.t ->
+  ?memo:string Engine.Memo.t ->
   Protocol.request list ->
   string list * stats
 (** Answer a stream.  Without [pool] the groups run sequentially (still

@@ -97,7 +97,7 @@ type t = {
   served_n : int Atomic.t;
   classes : (Batch.Protocol.op * Engine.Guard.spec) list;
   pool : Engine.Parallel.Pool.t option;
-  memo : Engine.Memo.t option;
+  memo : string Engine.Memo.t option;
   (* connection hygiene *)
   max_request_bytes : int;
   idle_timeout_s : float option;

@@ -90,7 +90,7 @@ val start :
   ?max_inflight:int ->
   ?classes:(Batch.Protocol.op * Engine.Guard.spec) list ->
   ?pool:Engine.Parallel.Pool.t ->
-  ?memo:Engine.Memo.t ->
+  ?memo:string Engine.Memo.t ->
   ?max_request_bytes:int ->
   ?idle_timeout_s:float option ->
   ?line_timeout_s:float option ->

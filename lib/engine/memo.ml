@@ -1,7 +1,7 @@
-type shard = { lock : Mutex.t; table : (string, string) Hashtbl.t }
+type 'a shard = { lock : Mutex.t; table : (string, 'a) Hashtbl.t }
 
-type t = {
-  shards : shard array;
+type 'a t = {
+  shards : 'a shard array;
   namespace : string;
   spill : bool;
   (* cache generation the resident entries were loaded under; a bump by
@@ -61,8 +61,7 @@ let find t ~key =
     Some v
   | None ->
     let spilled =
-      if t.spill then (Cache.find ~namespace:t.namespace ~key () : string option)
-      else None
+      if t.spill then Cache.find ~namespace:t.namespace ~key () else None
     in
     (match spilled with
      | Some v ->

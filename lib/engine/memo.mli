@@ -1,49 +1,52 @@
-(** Sharded in-memory memo tables with optional spill to {!Cache}.
+(** Typed memo tables: sharded in memory, with optional spill to
+    {!Cache}.
 
-    A memo maps string keys (structural hashes in the batch service) to
-    string payloads.  The key space is split across [shards] independent
-    hash tables, each behind its own mutex, selected by the top bits of
-    a hash of the key — so concurrent domains working on disjoint keys
-    almost never contend on one lock.
+    An ['a t] maps string keys to ['a] payloads (rendered JSON strings
+    in the batch service and the daemon, curves and candidate lists in
+    [Experiments.Curves]).  The key space is split across [shards]
+    independent hash tables, each behind its own mutex, selected by the
+    top bits of a hash of the key — so concurrent domains working on
+    disjoint keys almost never contend on one lock.
 
     When [spill] is on, a store also writes the entry through {!Cache}
-    (namespace-isolated, best-effort: a failing cache write degrades to
-    memory-only exactly as {!Cache.store} documents), and a miss in the
-    shard probes the cache before giving up; a spill hit is promoted
-    back into its shard.  Lookups count ["memo.hits"] /
+    (marshalled like any cache value, so a namespace must hold one
+    payload type; namespace-isolated and best-effort: a failing cache
+    write degrades to memory-only exactly as {!Cache.store} documents),
+    and a miss in the shard probes the cache before giving up; a spill
+    hit is promoted back into its shard.  Lookups count ["memo.hits"] /
     ["memo.misses"] / ["memo.spill_hits"] / ["memo.stores"] as
-    [Obs.Metrics] counters. *)
+    [Obs.Metrics] counters labelled with the namespace. *)
 
-type t
+type 'a t
 
-val create : ?shards:int -> ?spill:bool -> namespace:string -> unit -> t
+val create : ?shards:int -> ?spill:bool -> namespace:string -> unit -> 'a t
 (** [shards] defaults to 16 (raises [Invalid_argument] below 1);
     [spill] defaults to [true].  [namespace] isolates the spilled
     entries in the cache directory. *)
 
-val find : t -> key:string -> string option
+val find : 'a t -> key:string -> 'a option
 
-val store : t -> key:string -> string -> unit
+val store : 'a t -> key:string -> 'a -> unit
 
-val find_or_compute : t -> key:string -> (unit -> string) -> string * bool
+val find_or_compute : 'a t -> key:string -> (unit -> 'a) -> 'a * bool
 (** The cached payload and whether it was a hit; on a miss the computed
     payload is stored before returning [(payload, false)]. *)
 
-val shards : t -> int
+val shards : 'a t -> int
 
-val size : t -> int
+val size : 'a t -> int
 (** Entries currently resident in memory (spilled-only entries not
     counted). *)
 
-val observe_occupancy : t -> unit
+val observe_occupancy : 'a t -> unit
 (** Record each shard's resident entry count into the
     ["memo.shard_occupancy"] [Obs.Metrics] histogram — a flat
     distribution means the hash prefix is spreading keys evenly. *)
 
-val clear : t -> unit
+val clear : 'a t -> unit
 (** Drop the in-memory shards (spilled entries survive in the cache). *)
 
-val revalidate : t -> bool
+val revalidate : 'a t -> bool
 (** Cross-process coherence probe: compare {!Cache.generation} against
     the generation the resident entries were loaded under; if a sibling
     process bumped it (a [cache clear] on the shared directory), drop

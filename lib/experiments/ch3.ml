@@ -159,7 +159,8 @@ let figure_3_4 fmt =
               String.concat " " cells ])
         [ (Rt.Energy.Edf, "EDF",
            fun budgets ->
-             (* one DP for the row, filtered as [run_schedulable] does *)
+             (* one DP for the row; EDF schedules a selection iff its
+                utilization is at most 1 *)
              List.map
                (fun (sel : Core.Selection.t) ->
                  if sel.utilization <= 1. then Some sel else None)

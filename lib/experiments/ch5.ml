@@ -46,12 +46,22 @@ let driver_inputs set u =
   Iterative.Driver.tasks_of_kernels ~u
     (List.map (fun n -> (n, Kernels.find n)) (Curves.taskset_ch5 set))
 
+(* Figures 5.3 and 5.4 are two views of the same 25 driver runs:
+   whichever asks first runs and times each (set, U) cell once. *)
+let driver_memo : (Iterative.Driver.result * float) Engine.Memo.t =
+  Engine.Memo.create ~spill:false ~namespace:"ch5.driver" ()
+
+let driver_cell set u =
+  fst
+  @@ Engine.Memo.find_or_compute driver_memo ~key:(Printf.sprintf "%d|%.1f" set u)
+  @@ fun () -> Report.timed (fun () -> Iterative.Driver.run (driver_inputs set u))
+
 let figure_5_3 fmt =
   Report.banner fmt ~id:"Figure 5.3" "utilization vs iterations";
   for set = 1 to 5 do
     List.iter
       (fun u ->
-        let result = Iterative.Driver.run (driver_inputs set u) in
+        let result, _ = driver_cell set u in
         let history =
           List.map
             (fun (it : Iterative.Driver.iteration) ->
@@ -77,11 +87,8 @@ let figure_5_4 fmt =
   for set = 1 to 5 do
     List.iter
       (fun u ->
-        let result, elapsed =
-          Report.timed_into fmt
-            (Printf.sprintf "set %d U=%.1f" set u)
-            (fun () -> Iterative.Driver.run (driver_inputs set u))
-        in
+        let result, elapsed = driver_cell set u in
+        Report.timing fmt (Printf.sprintf "set %d U=%.1f" set u) elapsed;
         Report.row fmt
           [ Report.cell ~width:8 (string_of_int set);
             Report.cell ~width:8 (Printf.sprintf "%.1f" u);
@@ -146,16 +153,14 @@ let mlgp_step dfg on_ci = List.iter on_ci (Iterative.Mlgp.cover_dfg dfg)
 let is_step dfg on_ci =
   ignore (Iterative.Is_baseline.run ~max_instructions:24 ~on_step:on_ci dfg)
 
-(* Figures 5.5 and 5.6 share the same runs; cache them. *)
-let progress_cache : (string * string, progress list) Hashtbl.t = Hashtbl.create 16
+(* Figures 5.5 and 5.6 share the same runs. *)
+let progress_memo : progress list Engine.Memo.t =
+  Engine.Memo.create ~spill:false ~namespace:"ch5.progress" ()
 
 let cached_progress name label step cfg =
-  match Hashtbl.find_opt progress_cache (name, label) with
-  | Some p -> p
-  | None ->
-    let p = progress_of_generator ~time_budget:20. ~step_generator:step cfg in
-    Hashtbl.add progress_cache (name, label) p;
-    p
+  fst
+  @@ Engine.Memo.find_or_compute progress_memo ~key:(name ^ "|" ^ label)
+  @@ fun () -> progress_of_generator ~time_budget:20. ~step_generator:step cfg
 
 let pp_progress fmt label progress =
   let show =

@@ -1,93 +1,58 @@
 let base_params = Ise.Curve.small
 
-(* Process-wide generator selection (the CLI's [--generator]).  The
-   in-process memo tables are keyed by kernel name only, so switching
-   generators must drop them; the persistent store is safe because the
-   generator is part of [Ise.Curve.params_key]. *)
+(* Process-wide generator and cost-backend selection (the CLI's
+   [--generator] / [--hw-model]).  Both are part of
+   [Ise.Curve.params_key], so they are part of every memo key and
+   switching needs no invalidation. *)
 let generator = ref Ise.Isegen.Exhaustive
 let hw = ref Isa.Hw_model.uniform
 
-(* Two-level cache: a per-process memo table in front of the persistent
-   Engine.Cache store, so one process never deserialises an entry twice
-   and a warm process never regenerates a curve at all.  Namespaces
-   carry a schema tag; bump them (or Engine.Cache.format_version) when
-   the stored value's meaning changes. *)
-let curve_ns = "curve"
-let cand_ns = "candidates.v2"
-
-let curve_table : (string, Isa.Config.t) Hashtbl.t = Hashtbl.create 32
-let candidate_table : (string, Ise.Select.candidate list) Hashtbl.t = Hashtbl.create 32
-
-let reset () =
-  Hashtbl.reset curve_table;
-  Hashtbl.reset candidate_table
-
-let set_generator g =
-  if g <> !generator then begin
-    generator := g;
-    reset ()
-  end
-
-let set_hw b =
-  if not (b == !hw) then begin
-    hw := b;
-    reset ()
-  end
+let set_generator g = generator := g
+let set_hw b = hw := b
 
 let current_params () =
   { base_params with Ise.Curve.generator = !generator; hw = !hw }
 
+(* Spilling memos in front of the persistent Engine.Cache store, so one
+   process never deserialises an entry twice and a warm process never
+   regenerates a curve at all.  Namespaces carry a schema tag; bump
+   them (or Engine.Cache.format_version) when the stored value's
+   meaning changes. *)
+let curve_memo : Isa.Config.t Engine.Memo.t =
+  Engine.Memo.create ~namespace:"curve" ()
+
+let candidate_memo : Ise.Select.candidate list Engine.Memo.t =
+  Engine.Memo.create ~namespace:"candidates.v2" ()
+
+let reset () =
+  Engine.Memo.clear curve_memo;
+  Engine.Memo.clear candidate_memo
+
 let key_of name = name ^ "|" ^ Ise.Curve.params_key (current_params ())
 
-let cached table ~namespace ~generate name =
-  match Hashtbl.find_opt table name with
-  | Some v ->
-    Obs.Metrics.inc "curves.memo_hits";
-    v
-  | None ->
-    Engine.Trace.with_span "curves.lookup"
-      ~attrs:[ ("kernel", name); ("namespace", namespace) ]
-    @@ fun () ->
-    let key = key_of name in
-    let v =
-      match Engine.Cache.find ~namespace ~key () with
-      | Some v -> v
-      | None ->
-        Engine.Log.info "curves: generating %s for %s" namespace name;
-        let v = generate (Kernels.find name) in
-        Engine.Cache.store ~namespace ~key v;
-        v
-    in
-    Hashtbl.add table name v;
-    v
+let cached memo generate name =
+  fst
+  @@ Engine.Memo.find_or_compute memo ~key:(key_of name)
+  @@ fun () ->
+  Engine.Log.info "curves: no cached entry for %s, generating" name;
+  generate (Kernels.find name)
 
 let curve name =
-  cached curve_table ~namespace:curve_ns
-    ~generate:(Ise.Curve.generate ~params:(current_params ())) name
+  cached curve_memo (Ise.Curve.generate ~params:(current_params ())) name
 
 let candidates name =
-  cached candidate_table ~namespace:cand_ns
-    ~generate:(Ise.Curve.candidates ~params:(current_params ())) name
+  cached candidate_memo (Ise.Curve.candidates ~params:(current_params ())) name
 
 let warm ?pool names =
   Engine.Trace.with_span "curves.warm"
     ~attrs:[ ("kernels", string_of_int (List.length names)) ]
   @@ fun () ->
-  let missing =
-    List.sort_uniq compare names
-    |> List.filter (fun n -> not (Hashtbl.mem curve_table n))
-  in
-  (* pull persisted curves first so the pool is handed only real
-     generation work *)
+  (* resident and persisted curves first, so the pool is handed only
+     real generation work *)
   let to_generate =
-    List.filter
-      (fun name ->
-        match Engine.Cache.find ~namespace:curve_ns ~key:(key_of name) () with
-        | Some c ->
-          Hashtbl.replace curve_table name c;
-          false
-        | None -> true)
-      missing
+    List.sort_uniq compare names
+    |> List.filter (fun name ->
+           Option.is_none (Engine.Memo.find curve_memo ~key:(key_of name)))
   in
   if to_generate <> [] then
     Engine.Log.info "curves: warming %d kernel%s%s" (List.length to_generate)
@@ -111,9 +76,7 @@ let warm ?pool names =
        (fun name ->
          (name, Ise.Curve.generate ~params:(current_params ()) (Kernels.find name)))
        to_generate)
-  |> List.iter (fun (name, c) ->
-         Engine.Cache.store ~namespace:curve_ns ~key:(key_of name) c;
-         Hashtbl.replace curve_table name c)
+  |> List.iter (fun (name, c) -> Engine.Memo.store curve_memo ~key:(key_of name) c)
 
 let taskset_ch3 = function
   | 1 -> [ "crc32"; "sha"; "jpeg_dec"; "blowfish" ]

@@ -2,11 +2,16 @@
     compositions.
 
     Curve generation (the XPRES substitute) is the expensive part of the
-    Chapter 3/4 experiments, so curves live in a two-level cache: a
-    per-process memo table backed by the persistent on-disk store
-    ([Engine.Cache], under [_cache/]).  A warm process therefore never
-    regenerates a curve; telemetry distinguishes ["curves.memo_hits"]
-    from the engine's ["cache.hits"] / ["cache.misses"]. *)
+    Chapter 3/4 experiments, so curves and candidate lists live in two
+    spilling {!Engine.Memo}s (namespaces ["curve"] and
+    ["candidates.v2"]) backed by the persistent on-disk store
+    ([Engine.Cache], under [_cache/]).  Their keys are
+    [name ^ "|" ^ Ise.Curve.params_key (current_params ())], so the
+    generator and the cost backend are part of every key.  A warm
+    process therefore never regenerates a curve; telemetry
+    distinguishes in-process hits (["memo.hits"] with
+    [namespace="curve"]) from the engine's ["cache.hits"] /
+    ["cache.misses"]. *)
 
 val base_params : Ise.Curve.params
 (** The generation parameters every experiment shares
@@ -14,13 +19,12 @@ val base_params : Ise.Curve.params
 
 val set_generator : Ise.Isegen.choice -> unit
 (** Select the candidate generator for every subsequently generated
-    curve (the CLI's [--generator]).  Switching drops the in-process
-    memo tables; persistent cache entries are distinguished by key. *)
+    curve (the CLI's [--generator]).  Curves of every generator stay
+    cached side by side, distinguished by key. *)
 
 val set_hw : Isa.Hw_model.backend -> unit
 (** Select the hardware cost backend for every subsequently generated
-    curve (the CLI's [--hw-model]); same memo-dropping behaviour as
-    {!set_generator}. *)
+    curve (the CLI's [--hw-model]); keyed like {!set_generator}. *)
 
 val current_params : unit -> Ise.Curve.params
 (** {!base_params} with the selected generator and cost backend
@@ -41,7 +45,7 @@ val warm : ?pool:Engine.Parallel.Pool.t -> string list -> unit
     way. *)
 
 val reset : unit -> unit
-(** Drop the in-process memo tables (the persistent store is
+(** Drop the memos' resident entries (the persistent store is
     untouched) — used by benchmarks to measure cold paths. *)
 
 val taskset_ch3 : int -> string list

@@ -285,6 +285,27 @@ let test_memo_spills_to_cache () =
   let m3 = Engine.Memo.create ~shards:2 ~spill:true ~namespace:"test-other" () in
   check bool "namespace isolation" true (Engine.Memo.find m3 ~key:"k" = None)
 
+(* The memo is typed: a non-string payload spills through the marshalled
+   cache and reads back equal through a second memo. *)
+let test_memo_spills_typed_payload () =
+  with_temp_cache @@ fun () ->
+  let curve =
+    Isa.Config.of_points ~base_cycles:100
+      [ { Isa.Config.area = 0; cycles = 100 }; { Isa.Config.area = 30; cycles = 60 } ]
+  in
+  let m : Isa.Config.t Engine.Memo.t =
+    Engine.Memo.create ~shards:2 ~namespace:"test-typed" ()
+  in
+  Engine.Memo.store m ~key:"k" curve;
+  let m2 : Isa.Config.t Engine.Memo.t =
+    Engine.Memo.create ~shards:2 ~namespace:"test-typed" ()
+  in
+  match Engine.Memo.find m2 ~key:"k" with
+  | None -> Alcotest.fail "spilled curve not found"
+  | Some c ->
+    check int "base cycles" (Isa.Config.base_cycles curve) (Isa.Config.base_cycles c);
+    check bool "points" true (Isa.Config.points curve = Isa.Config.points c)
+
 (* ------------------------------------------------------------------ *)
 (* Service                                                            *)
 (* ------------------------------------------------------------------ *)
@@ -365,7 +386,9 @@ let () =
           Alcotest.test_case "edge cases" `Quick test_run_sweep_edges ] );
       ( "memo",
         [ Alcotest.test_case "round trip" `Quick test_memo_round_trip;
-          Alcotest.test_case "spill + promotion" `Quick test_memo_spills_to_cache ] );
+          Alcotest.test_case "spill + promotion" `Quick test_memo_spills_to_cache;
+          Alcotest.test_case "typed payload spills" `Quick
+            test_memo_spills_typed_payload ] );
       ( "service",
         [ Alcotest.test_case "batch ≡ sequential, cold and warm" `Slow
             test_batch_equals_sequential_streams;

@@ -65,6 +65,40 @@ let test_cold_warm_records_latency () =
       h.Obs.Metrics.count
   | None -> Alcotest.fail "no curve.generate_s samples recorded"
 
+(* Curves of both generators stay resident side by side: switching to
+   ISEGEN and back serves the exhaustive curve from memory.  The disk
+   cache is off, so a dropped memo would have to regenerate it. *)
+let test_generator_switch_keeps_memo () =
+  Engine.Cache.set_enabled false;
+  Fun.protect
+    ~finally:(fun () ->
+      Experiments.Curves.set_generator Ise.Isegen.Exhaustive;
+      Engine.Cache.set_enabled true)
+  @@ fun () ->
+  let before = Experiments.Curves.curve "lms" in
+  Experiments.Curves.set_generator Ise.Isegen.Isegen;
+  ignore (Experiments.Curves.curve "lms" : Isa.Config.t);
+  Experiments.Curves.set_generator Ise.Isegen.Exhaustive;
+  let s0 = Obs.Snapshot.take () in
+  let after = Experiments.Curves.curve "lms" in
+  let d = Obs.Snapshot.delta ~before:s0 ~after:(Obs.Snapshot.take ()) in
+  check (Alcotest.float 0.) "no curve generated" 0.
+    (Obs.Snapshot.counter d "curve.curves_generated");
+  check (Alcotest.float 0.) "one curve memo hit" 1.
+    (Obs.Snapshot.counter ~labels:[ ("namespace", "curve") ] d "memo.hits");
+  check bool "same curve" true (Isa.Config.points before = Isa.Config.points after)
+
+(* Figs 5.3 and 5.4 read one driver run per (set, U) cell. *)
+let test_ch5_driver_cell_runs_once () =
+  let s0 = Obs.Snapshot.take () in
+  let a = Experiments.Ch5.driver_cell 3 1.1 in
+  let b = Experiments.Ch5.driver_cell 3 1.1 in
+  let d = Obs.Snapshot.delta ~before:s0 ~after:(Obs.Snapshot.take ()) in
+  let ns = [ ("namespace", "ch5.driver") ] in
+  check (Alcotest.float 0.) "one miss" 1. (Obs.Snapshot.counter ~labels:ns d "memo.misses");
+  check (Alcotest.float 0.) "one hit" 1. (Obs.Snapshot.counter ~labels:ns d "memo.hits");
+  check bool "the same run and time" true (a == b)
+
 let test_tasks_of_utilization () =
   let tasks = Experiments.Curves.tasks_of ~u:1.05 [ "lms"; "ndes" ] in
   check (Alcotest.float 0.02) "target utilization" 1.05
@@ -78,6 +112,10 @@ let () =
         [ Alcotest.test_case "curve cache" `Quick test_curve_cache_consistent;
           Alcotest.test_case "cold warm-up records curve latency" `Quick
             test_cold_warm_records_latency;
+          Alcotest.test_case "generator switch keeps curve memo" `Quick
+            test_generator_switch_keeps_memo;
+          Alcotest.test_case "chapter 5 driver cell runs once" `Quick
+            test_ch5_driver_cell_runs_once;
           Alcotest.test_case "task builder" `Quick test_tasks_of_utilization ] );
       ( "drivers",
         [ Alcotest.test_case "t3.1 lists the six task sets" `Quick

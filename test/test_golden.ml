@@ -107,9 +107,10 @@ let test_batch_warm_matches_expected () =
 
 let read_file file = In_channel.with_open_bin file In_channel.input_all
 
-(* The Chapter 3 experiments as `isecustom experiment ID` prints them,
+(* The untimed experiments as `isecustom experiment ID` prints them,
    against the committed text.  A private cache directory keeps curves
-   cached by earlier runs out of it. *)
+   cached by earlier runs out of it.  f5.3 is golden too, but takes
+   seconds, so CI diffs it outside the test suite. *)
 let test_experiment_matches_golden id () =
   let want = read_file (golden (Filename.concat "experiments" (id ^ ".txt"))) in
   let e =
@@ -134,7 +135,9 @@ let test_experiment_matches_golden id () =
   Format.pp_print_flush fmt ();
   check string (id ^ " output byte-identical") want (Buffer.contents buffer)
 
-let chapter3_golden = [ "f3.2"; "f3.3"; "f3.4"; "a2" ]
+let golden_experiments =
+  [ "t3.1"; "f3.1"; "f3.2"; "f3.3"; "f3.4"; "t4.1"; "f4.4"; "t5.1"; "t5.2";
+    "f6.4"; "t6.2"; "f6.10"; "t7.1"; "f7.4"; "a2"; "a3" ]
 
 let () =
   Alcotest.run "golden"
@@ -153,4 +156,4 @@ let () =
               Alcotest.test_case
                 (Printf.sprintf "experiment %s matches golden" id)
                 `Quick (test_experiment_matches_golden id))
-            chapter3_golden ) ]
+            golden_experiments ) ]
