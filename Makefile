@@ -2,7 +2,7 @@
 # ocamlformat is available — the sealed container does not ship it),
 # and the full test suite.
 
-.PHONY: all build test fmt check golden-update fuzz isegen-fuzz reconfig-fuzz faults parallel-stress metrics-smoke daemon-smoke chaos clean
+.PHONY: all build test fmt check golden-update fuzz isegen-fuzz reconfig-fuzz mlgp-fuzz faults parallel-stress metrics-smoke daemon-smoke chaos clean
 
 all: build
 
@@ -60,6 +60,13 @@ isegen-fuzz:
 # index-based evaluators against Problem/Model on random placements.
 reconfig-fuzz:
 	dune exec bin/isecustom.exe -- check --suite reconfig --seed $(SEED) \
+	  --budget $(BUDGET)
+
+# The Chapter 5 differential suite alone: MLGP against its kept
+# reference (Check.Oracle.Mlgp_ref) on random DFGs and Blockgen blocks,
+# with and without refinement, under tight port limits.
+mlgp-fuzz:
+	dune exec bin/isecustom.exe -- check --suite iterative --seed $(SEED) \
 	  --budget $(BUDGET)
 
 # Fault-injection run (lib/engine/fault): first fire every injection

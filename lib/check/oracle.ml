@@ -1192,3 +1192,302 @@ module Rtreconfig_ref = struct
         (contiguous_partitions n (min n max_groups));
     !best
 end
+
+(* MLGP as it stood before the quotient-graph cycle test and the cached
+   partition scores: Kahn's algorithm over the whole contracted DFG for
+   every candidate merge and move, and a fresh evaluation of every set
+   each time it is scored. *)
+module Mlgp_ref = struct
+  (* Clusters are disjoint node sets.  Adjacency between clusters is
+     direct-edge adjacency between their member nodes. *)
+
+  let ratio dfg set =
+    if Bitset.is_empty set then 0.
+    else
+      let ci = Isa.Custom_inst.make_unchecked dfg set in
+      let area = max 1 ci.Isa.Custom_inst.area in
+      float_of_int (Isa.Custom_inst.gain ci) /. float_of_int area
+
+  let legal ?constraints dfg set =
+    Bitset.is_empty set || Isa.Custom_inst.feasible ?constraints dfg set
+
+  (* Gain a partition will actually contribute once emitted: partitions
+     with non-positive gain are left in software. *)
+  let emittable_gain dfg set =
+    if Bitset.is_empty set then 0
+    else max 0 (Isa.Custom_inst.gain (Isa.Custom_inst.make_unchecked dfg set))
+
+  (* Contracting the clusters must leave the dependence graph acyclic,
+     otherwise the partitions cannot all be fused simultaneously (the
+     joint-schedulability hazard Codegen.sanitize guards against).  The
+     check contracts every node through [macro_of] (nodes outside any
+     cluster are their own macros) and runs Kahn's algorithm. *)
+  let contraction_acyclic dfg ~macro_of ~n_macros =
+    let n = Ir.Dfg.node_count dfg in
+    let size = n_macros + n in
+    let id v = match macro_of v with -1 -> n_macros + v | c -> c in
+    let indegree = Array.make size 0 in
+    let successors = Array.make size [] in
+    let exists = Array.make size false in
+    for v = 0 to n - 1 do
+      exists.(id v) <- true;
+      List.iter
+        (fun s ->
+          let a = id v and b = id s in
+          if a <> b then begin
+            successors.(a) <- b :: successors.(a);
+            indegree.(b) <- indegree.(b) + 1
+          end)
+        (Ir.Dfg.succs dfg v)
+    done;
+    let ready = Queue.create () in
+    let total = ref 0 in
+    for m = 0 to size - 1 do
+      if exists.(m) then begin
+        incr total;
+        if indegree.(m) = 0 then Queue.push m ready
+      end
+    done;
+    let emitted = ref 0 in
+    while not (Queue.is_empty ready) do
+      let m = Queue.pop ready in
+      incr emitted;
+      List.iter
+        (fun s ->
+          indegree.(s) <- indegree.(s) - 1;
+          if indegree.(s) = 0 then Queue.push s ready)
+        successors.(m);
+      successors.(m) <- []
+    done;
+    !emitted = !total
+
+  (* Cluster-level adjacency for the current cluster list. *)
+  let cluster_neighbors dfg clusters cluster_of set =
+    let out = ref [] in
+    Bitset.iter
+      (fun v ->
+        let consider u =
+          match cluster_of.(u) with
+          | -1 -> ()
+          | c ->
+            if (not (Bitset.mem set u)) && not (List.mem c !out) then out := c :: !out
+        in
+        List.iter consider (Ir.Dfg.preds dfg v);
+        List.iter consider (Ir.Dfg.succs dfg v))
+      set;
+    ignore clusters;
+    !out
+
+  let rebuild_cluster_of n clusters =
+    let cluster_of = Array.make n (-1) in
+    Array.iteri
+      (fun i set -> match set with
+         | Some s -> Bitset.iter (fun v -> cluster_of.(v) <- i) s
+         | None -> ())
+      clusters;
+    cluster_of
+
+  (* One coarsening pass: visit clusters in random order and merge each
+     unconsumed cluster with its best legal neighbour.  A cluster that
+     found no partner stays available as a merge target for clusters
+     visited later (consumed is set only by an actual merge). *)
+  let coarsen_pass ?constraints dfg prng clusters =
+    let n = Ir.Dfg.node_count dfg in
+    let live = Array.map (fun c -> Some c) clusters in
+    let cluster_of = rebuild_cluster_of n live in
+    let order = Array.init (Array.length clusters) (fun i -> i) in
+    Util.Prng.shuffle prng order;
+    let consumed = Array.make (Array.length clusters) false in
+    let merged = ref false in
+    Array.iter
+      (fun i ->
+        if not consumed.(i) then
+          match live.(i) with
+          | None -> ()
+          | Some set ->
+            let candidates =
+              cluster_neighbors dfg live cluster_of set
+              |> List.filter (fun j -> j <> i && not consumed.(j))
+            in
+            let best = ref None in
+            List.iter
+              (fun j ->
+                match live.(j) with
+                | None -> ()
+                | Some other ->
+                  let union = Bitset.copy set in
+                  Bitset.union_into union other;
+                  if
+                    legal ?constraints dfg union
+                    && contraction_acyclic dfg
+                         ~macro_of:(fun v ->
+                           let c = cluster_of.(v) in
+                           if c = j then i else c)
+                         ~n_macros:(Array.length clusters)
+                  then begin
+                    let r = ratio dfg union in
+                    match !best with
+                    | Some (br, _, _) when br >= r -> ()
+                    | Some _ | None -> best := Some (r, j, union)
+                  end)
+              candidates;
+            (match !best with
+             | Some (_, j, union) ->
+               consumed.(i) <- true;
+               consumed.(j) <- true;
+               live.(i) <- Some union;
+               live.(j) <- None;
+               Bitset.iter (fun v -> cluster_of.(v) <- i) union;
+               merged := true
+             | None -> ()))
+      order;
+    let next =
+      Array.to_list live |> List.filter_map (fun c -> c) |> Array.of_list
+    in
+    (next, !merged)
+
+  (* Refinement at one level: move boundary units between partitions when
+     the summed gain/area ratio improves and both partitions stay legal
+     (Algorithm 5, without the directional input/output repair). *)
+  let refine_level ?constraints dfg prng units assignment partitions =
+    let n_units = Array.length units in
+    let order = Array.init n_units (fun i -> i) in
+    Util.Prng.shuffle prng order;
+    let unit_of_node = Array.make (Ir.Dfg.node_count dfg) (-1) in
+    Array.iteri (fun i u -> Bitset.iter (fun v -> unit_of_node.(v) <- i) u) units;
+    let part_of_node = Array.make (Ir.Dfg.node_count dfg) (-1) in
+    Array.iteri (fun p set -> Bitset.iter (fun v -> part_of_node.(v) <- p) set) partitions;
+    let changed = ref false in
+    Array.iter
+      (fun i ->
+        let unit = units.(i) in
+        let src = assignment.(i) in
+        (* neighbour partitions of this unit *)
+        let neighbour_parts = ref [] in
+        Bitset.iter
+          (fun v ->
+            let consider u =
+              match unit_of_node.(u) with
+              | -1 -> ()
+              | j ->
+                let p = assignment.(j) in
+                if p <> src && not (List.mem p !neighbour_parts) then
+                  neighbour_parts := p :: !neighbour_parts
+            in
+            List.iter consider (Ir.Dfg.preds dfg v);
+            List.iter consider (Ir.Dfg.succs dfg v))
+          unit;
+        if !neighbour_parts <> [] then begin
+          let src_without = Bitset.copy partitions.(src) in
+          Bitset.diff_into src_without unit;
+          if legal ?constraints dfg src_without then begin
+            let base_src = ratio dfg partitions.(src) in
+            let base_src_gain = emittable_gain dfg partitions.(src) in
+            let best = ref None in
+            List.iter
+              (fun p ->
+                let dst_with = Bitset.copy partitions.(p) in
+                Bitset.union_into dst_with unit;
+                if legal ?constraints dfg dst_with then begin
+                  let improvement =
+                    ratio dfg dst_with -. ratio dfg partitions.(p)
+                    +. ratio dfg src_without -. base_src
+                  in
+                  (* the ratio objective (Algorithm 5) chooses the move,
+                     but a move must never lose emittable cycles — chasing
+                     small dense partitions can wreck absolute gain *)
+                  let gain_delta =
+                    emittable_gain dfg dst_with + emittable_gain dfg src_without
+                    - emittable_gain dfg partitions.(p) - base_src_gain
+                  in
+                  if
+                    improvement > 1e-12 && gain_delta >= 0
+                    && contraction_acyclic dfg
+                         ~macro_of:(fun v ->
+                           if Bitset.mem unit v then p else part_of_node.(v))
+                         ~n_macros:(Array.length partitions)
+                  then
+                    match !best with
+                    | Some (bi, _, _) when bi >= improvement -> ()
+                    | Some _ | None -> best := Some (improvement, p, dst_with)
+                end)
+              !neighbour_parts;
+            match !best with
+            | Some (_, p, dst_with) ->
+              partitions.(src) <- src_without;
+              partitions.(p) <- dst_with;
+              Bitset.iter (fun v -> part_of_node.(v) <- p) unit;
+              assignment.(i) <- p;
+              changed := true
+            | None -> ()
+          end
+        end)
+      order;
+    !changed
+
+  let partition_region ?constraints ?(seed = 17) ?(refine = true) dfg ~allowed =
+    let prng = Util.Prng.create seed in
+    let n = Ir.Dfg.node_count dfg in
+    (* Level 0: singletons. *)
+    let singletons =
+      Bitset.fold (fun v acc -> Bitset.of_list n [ v ] :: acc) allowed []
+      |> List.rev |> Array.of_list
+    in
+    if Array.length singletons = 0 then []
+    else begin
+      (* Coarsening, recording each level's clusters. *)
+      let levels = ref [ singletons ] in
+      let rec coarsen clusters =
+        let next, progress = coarsen_pass ?constraints dfg prng clusters in
+        if progress then begin
+          levels := next :: !levels;
+          coarsen next
+        end
+      in
+      coarsen singletons;
+      (* Initial partitioning: each coarsest cluster is a partition. *)
+      let coarsest = List.hd !levels in
+      let partitions = Array.map Bitset.copy coarsest in
+      (* Uncoarsening: at each finer level the units are that level's
+         clusters; their initial assignment is the partition that contains
+         them. *)
+      if refine then
+      List.iter
+        (fun units ->
+          let part_of_node = Array.make n (-1) in
+          Array.iteri
+            (fun p set -> Bitset.iter (fun v -> part_of_node.(v) <- p) set)
+            partitions;
+          let assignment =
+            Array.map
+              (fun u ->
+                match Bitset.elements u with
+                | v :: _ -> part_of_node.(v)
+                | [] -> 0)
+              units
+          in
+          let rec fixpoint k =
+            if k > 0 && refine_level ?constraints dfg prng units assignment partitions
+            then fixpoint (k - 1)
+          in
+          fixpoint 3)
+        (List.tl !levels);
+      (* Emit non-empty partitions with positive gain; drop instructions
+         that would make the block unschedulable (mutual dependences). *)
+      Array.to_list partitions
+      |> List.filter_map (fun set ->
+             if Bitset.is_empty set then None
+             else
+               match Isa.Custom_inst.check ?constraints dfg set with
+               | Ok ci when Isa.Custom_inst.gain ci > 0 -> Some ci
+               | Ok _ | Error _ -> None)
+      |> Ise.Codegen.sanitize dfg
+      |> List.sort (fun a b ->
+             compare (Isa.Custom_inst.gain b) (Isa.Custom_inst.gain a))
+    end
+
+  let cover_dfg ?constraints ?seed ?refine dfg =
+    Ir.Region.of_dfg dfg
+    |> List.concat_map (fun r ->
+           partition_region ?constraints ?seed ?refine dfg ~allowed:r.Ir.Region.members)
+end

@@ -170,3 +170,26 @@ module Rtreconfig_ref : sig
   val dp : Rtreconfig.Model.t -> Rtreconfig.Model.placement
   val optimal : ?max_nodes:int -> Rtreconfig.Model.t -> Rtreconfig.Model.placement
 end
+
+(** MLGP as it stood before the quotient-graph cycle test and the
+    cached partition scores: every candidate merge and move ran Kahn's
+    algorithm over the whole contracted DFG, and every set was
+    evaluated afresh each time it was scored.  The differential
+    reference for {!Iterative.Mlgp}, which must emit the same
+    instructions in the same order. *)
+module Mlgp_ref : sig
+  val partition_region :
+    ?constraints:Isa.Hw_model.constraints ->
+    ?seed:int ->
+    ?refine:bool ->
+    Ir.Dfg.t ->
+    allowed:Util.Bitset.t ->
+    Isa.Custom_inst.t list
+
+  val cover_dfg :
+    ?constraints:Isa.Hw_model.constraints ->
+    ?seed:int ->
+    ?refine:bool ->
+    Ir.Dfg.t ->
+    Isa.Custom_inst.t list
+end

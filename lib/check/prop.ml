@@ -1262,6 +1262,65 @@ let compiled_evaluator_matches_model =
           (List.concat_map (fun _ -> [ reconfig; rtreconfig ]) (List.init 20 Fun.id))) }
 
 (* ---------------------------------------------------------------- *)
+(* iterative                                                        *)
+(* ---------------------------------------------------------------- *)
+
+(* MLGP against {!Oracle.Mlgp_ref}: the same instructions, in the same
+   order, with every field equal.  Each case runs the instance's DFG
+   and a Blockgen block of up to 90 operations three times each,
+   drawing refinement on or off, the default seed or another, and the
+   default port limits or tighter or looser ones (tight limits make
+   many merges illegal and leave illegal singletons as partitions). *)
+let mlgp_matches_reference =
+  { name = "mlgp_matches_reference";
+    suite = "iterative";
+    run =
+      (fun inst ->
+        let prng = chapter_prng inst in
+        let block =
+          Kernels.Blockgen.block
+            ~loads:(Util.Prng.in_range prng 0 4)
+            ~stores:(Util.Prng.in_range prng 0 3)
+            ~window:(Util.Prng.in_range prng 2 12)
+            (Util.Prng.split prng)
+            ~size:(Util.Prng.in_range prng 1 90)
+            (Util.Prng.choose prng
+               Kernels.Blockgen.[| crypto_mix; dsp_mix; control_mix |])
+        in
+        let against what dfg () =
+          let constraints =
+            Util.Prng.choose prng
+              Isa.Hw_model.
+                [| default_constraints; { max_inputs = 2; max_outputs = 1 };
+                   { max_inputs = 3; max_outputs = 1 }; { max_inputs = 6; max_outputs = 3 } |]
+          in
+          let refine = Util.Prng.bool prng in
+          let seed = if Util.Prng.bool prng then None else Some (Util.Prng.int prng 1000) in
+          let where () =
+            Printf.sprintf "%s (%d nodes), refine %b, seed %s, ports %d/%d" what
+              (Ir.Dfg.node_count dfg) refine
+              (match seed with None -> "default" | Some s -> string_of_int s)
+              constraints.max_inputs constraints.max_outputs
+          in
+          let want = Oracle.Mlgp_ref.cover_dfg ~constraints ?seed ~refine dfg in
+          match Iterative.Mlgp.cover_dfg ~constraints ?seed ~refine dfg with
+          | exception e -> failf "%s: raised %s" (where ()) (Printexc.to_string e)
+          | got ->
+          if List.length got <> List.length want then
+            failf "%s: %d instructions, reference %d" (where ()) (List.length got)
+              (List.length want)
+          else
+            match List.find_index (fun (a, b) -> a <> b) (List.combine got want) with
+            | Some i -> failf "%s: instruction %d differs from the reference" (where ()) i
+            | None -> Pass
+        in
+        let dfg = Batch.Instance.dfg inst in
+        first_failure
+          (List.concat_map
+             (fun _ -> [ against "instance DFG" dfg; against "Blockgen block" block ])
+             [ 1; 2; 3 ])) }
+
+(* ---------------------------------------------------------------- *)
 (* engine                                                           *)
 (* ---------------------------------------------------------------- *)
 
@@ -1443,6 +1502,7 @@ let all =
     reconfig_matches_reference;
     rtreconfig_matches_reference;
     compiled_evaluator_matches_model;
+    mlgp_matches_reference;
     cache_roundtrip_and_corruption;
     parallel_map_matches_sequential;
     pool_map_result_matches_sequential_fold ]

@@ -11,7 +11,8 @@
     invariants on random DFGs), [reconfig] (the Chapter 6-7 solvers
     vs their kept references in {!Oracle.Reconfig_ref} and
     {!Oracle.Rtreconfig_ref}, the index-based evaluators vs
-    [Problem]/[Model]), [engine] (cache round-trip and corruption
+    [Problem]/[Model]), [iterative] (MLGP vs its kept reference in
+    {!Oracle.Mlgp_ref}), [engine] (cache round-trip and corruption
     tolerance, parallel ≡ sequential). *)
 
 type outcome =

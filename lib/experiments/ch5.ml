@@ -110,10 +110,6 @@ let mlgp_vs_is_kernels = [ "g721decode"; "jfdctint"; "blowfish"; "md5"; "sha"; "
 
 type progress = { time : float; speedup : float; area : int }
 
-let profile_of cfg =
-  Ir.Cfg.profile cfg
-  |> List.map (fun (b, f) -> (b, f))
-
 let software_cycles profile =
   Util.Numeric.sum_byf
     (fun ((b : Ir.Cfg.block), freq) -> freq *. float_of_int (Ir.Cfg.block_cycles b))
@@ -123,7 +119,7 @@ let software_cycles profile =
    (time, speedup, area) after every step it reports. *)
 let progress_of_generator ~time_budget ~step_generator cfg =
   let profile =
-    profile_of cfg
+    Ir.Cfg.profile cfg
     |> List.sort (fun ((b1 : Ir.Cfg.block), f1) (b2, f2) ->
            compare
              (f2 *. float_of_int (Ir.Cfg.block_cycles b2))

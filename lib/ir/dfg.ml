@@ -163,21 +163,48 @@ let all_valid t set =
   Bitset.fold (fun v acc -> acc && valid_node t v) set true
 
 (* Node ids are topological, so ascending members are visited in
-   [topo] order. *)
+   [topo] order.  [finish] is scratch that grows to the largest DFG
+   seen: a call reads only the entries of member predecessors, which it
+   has written itself, so what earlier calls left behind is never read.
+   There is one scratch per domain, and the systhreads of a domain share
+   it, so a call takes it with a compare-and-set and releases it on
+   return; a call that finds it taken (another thread of the domain is
+   inside [critical_path]) works in a fresh array. *)
+type finish_scratch = { busy : bool Atomic.t; mutable finish : float array }
+
+let finish_scratch =
+  Domain.DLS.new_key (fun () -> { busy = Atomic.make false; finish = [||] })
+
 let critical_path t ~delay set =
-  let finish = Array.make (node_count t) 0. in
+  let n = node_count t in
+  let scratch = Domain.DLS.get finish_scratch in
+  let owned = Atomic.compare_and_set scratch.busy false true in
+  let finish =
+    if not owned then Array.make n 0.
+    else begin
+      if Array.length scratch.finish < n then scratch.finish <- Array.make n 0.;
+      scratch.finish
+    end
+  in
   let best = ref 0. in
-  Bitset.iter
-    (fun v ->
-      let start =
-        List.fold_left
-          (fun acc p -> if Bitset.mem set p then Float.max acc finish.(p) else acc)
-          0. t.preds.(v)
-      in
-      finish.(v) <- start +. delay t.kinds.(v);
-      best := Float.max !best finish.(v))
-    set;
-  !best
+  match
+    Bitset.iter
+      (fun v ->
+        let start =
+          List.fold_left
+            (fun acc p -> if Bitset.mem set p then Float.max acc finish.(p) else acc)
+            0. t.preds.(v)
+        in
+        finish.(v) <- start +. delay t.kinds.(v);
+        best := Float.max !best finish.(v))
+      set
+  with
+  | () ->
+    if owned then Atomic.set scratch.busy false;
+    !best
+  | exception e ->
+    if owned then Atomic.set scratch.busy false;
+    raise e
 
 let pp_stats fmt t =
   Format.fprintf fmt "dfg: %d nodes, %d sw cycles, %d valid"

@@ -19,14 +19,18 @@ type rejection =
   | Too_many_outputs of int
   | Empty
 
-let make_unchecked dfg nodes =
+let evaluate dfg nodes ~inputs ~outputs =
   { nodes;
     size = Bitset.cardinal nodes;
     sw_cycles = Ir.Dfg.sw_cycles_of_set dfg nodes;
     hw_cycles = Hw_model.set_hw_cycles dfg nodes;
     area = Hw_model.set_area dfg nodes;
-    inputs = Ir.Dfg.input_count dfg nodes;
-    outputs = Ir.Dfg.output_count dfg nodes }
+    inputs;
+    outputs }
+
+let make_unchecked dfg nodes =
+  evaluate dfg nodes ~inputs:(Ir.Dfg.input_count dfg nodes)
+    ~outputs:(Ir.Dfg.output_count dfg nodes)
 
 let check ?(constraints = Hw_model.default_constraints) dfg nodes =
   if Bitset.is_empty nodes then Error Empty
@@ -39,7 +43,7 @@ let check ?(constraints = Hw_model.default_constraints) dfg nodes =
       let outputs = Ir.Dfg.output_count dfg nodes in
       if outputs > constraints.Hw_model.max_outputs then
         Error (Too_many_outputs outputs)
-      else Ok (make_unchecked dfg nodes)
+      else Ok (evaluate dfg nodes ~inputs ~outputs)
 
 let admissible ?(constraints = Hw_model.default_constraints) dfg ci =
   ci.inputs <= constraints.Hw_model.max_inputs

@@ -127,6 +127,8 @@ let generate_for_task ?seed ?(generator = Ise.Isegen.Exhaustive)
 
 let run ?(target = 1.0) ?(coverage = 0.9) ?(max_iterations = 200) ?seed
     ?generator ?isegen inputs =
+  Engine.Trace.with_span "iterative.driver" @@ fun () ->
+  Obs.Metrics.time_s "iterative.driver" @@ fun () ->
   let tasks = List.map init_task inputs in
   let iterations = ref [] in
   let total_area = ref 0 and instruction_count = ref 0 in

@@ -3,68 +3,98 @@ module Bitset = Util.Bitset
 (* Clusters are disjoint node sets.  Adjacency between clusters is
    direct-edge adjacency between their member nodes. *)
 
-let ratio dfg set =
-  if Bitset.is_empty set then 0.
+(* What MLGP reads off a node set: its gain/area ratio and the gain it
+   will actually contribute once emitted (partitions with non-positive
+   gain are left in software). *)
+type score = { ratio : float; gain : int }
+
+let empty_score = { ratio = 0.; gain = 0 }
+
+let score_of ci =
+  let gain = Isa.Custom_inst.gain ci in
+  { ratio = float_of_int gain /. float_of_int (max 1 ci.Isa.Custom_inst.area);
+    gain = max 0 gain }
+
+(* One [Custom_inst.check] per candidate set: [None] when the set is not
+   a legal custom instruction (the empty set is legal and scores 0). *)
+let legal_score ?constraints dfg set =
+  if Bitset.is_empty set then Some empty_score
   else
-    let ci = Isa.Custom_inst.make_unchecked dfg set in
-    let area = max 1 ci.Isa.Custom_inst.area in
-    float_of_int (Isa.Custom_inst.gain ci) /. float_of_int area
+    match Isa.Custom_inst.check ?constraints dfg set with
+    | Ok ci -> Some (score_of ci)
+    | Error _ -> None
 
-let legal ?constraints dfg set =
-  Bitset.is_empty set || Isa.Custom_inst.feasible ?constraints dfg set
+(* The contracted ("quotient") graph: one macro per cluster or
+   partition (ids below [k]) and one per node outside them all (id
+   [k + v]).  A candidate change is passed as [~moved ~into]: every
+   node whose [group] entry is [moved] joins macro [into].
 
-(* Gain a partition will actually contribute once emitted: partitions
-   with non-positive gain are left in software. *)
-let emittable_gain dfg set =
-  if Bitset.is_empty set then 0
-  else max 0 (Isa.Custom_inst.gain (Isa.Custom_inst.make_unchecked dfg set))
-
-(* Contracting the clusters must leave the dependence graph acyclic,
-   otherwise the partitions cannot all be fused simultaneously (the
+   Contracting must leave the quotient acyclic, otherwise the
+   partitions cannot all be fused simultaneously (the
    joint-schedulability hazard Codegen.sanitize guards against).  The
-   check contracts every node through [macro_of] (nodes outside any
-   cluster are their own macros) and runs Kahn's algorithm. *)
-let contraction_acyclic dfg ~macro_of ~n_macros =
-  let n = Ir.Dfg.node_count dfg in
-  let size = n_macros + n in
-  let id v = match macro_of v with -1 -> n_macros + v | c -> c in
-  let indegree = Array.make size 0 in
-  let successors = Array.make size [] in
-  let exists = Array.make size false in
-  for v = 0 to n - 1 do
-    exists.(id v) <- true;
-    List.iter
-      (fun s ->
-        let a = id v and b = id s in
-        if a <> b then begin
-          successors.(a) <- b :: successors.(a);
-          indegree.(b) <- indegree.(b) + 1
-        end)
-      (Ir.Dfg.succs dfg v)
-  done;
-  let ready = Queue.create () in
-  let total = ref 0 in
-  for m = 0 to size - 1 do
-    if exists.(m) then begin
-      incr total;
-      if indegree.(m) = 0 then Queue.push m ready
+   quotient is acyclic before every merge or move — the singletons are
+   the DFG itself and every applied change was checked — so a cycle
+   after the change passes through the macro [into] that grew.
+   Shrinking the source partition of a move cannot close a cycle that
+   avoids [into]: mapped back onto the old quotient it would be a cycle
+   there.  So the test searches from [into] only.  Its visited stamps
+   and stack belong to the partition run. *)
+type scratch = { seen : int array; stack : int array; mutable stamp : int }
+
+type quotient = {
+  dfg : Ir.Dfg.t;
+  k : int;
+  owner : int array;  (** node -> cluster or partition id, -1 outside *)
+  sets : Bitset.t array;  (** members of each id below [k] *)
+  sc : scratch;
+  group : int array;  (** node -> the unit a candidate change moves *)
+}
+
+let macro_of q ~moved ~into v =
+  if q.group.(v) = moved then into
+  else match q.owner.(v) with -1 -> q.k + v | c -> c
+
+exception Cycle
+
+(* Does the candidate change (group [moved] joins macro [into], which
+   then has [members]) close a cycle in the quotient?  A depth-first
+   search from [into]'s successors that reaches [into] again. *)
+let creates_cycle q ~moved ~into members =
+  let sc = q.sc in
+  sc.stamp <- sc.stamp + 1;
+  let stamp = sc.stamp in
+  let top = ref 0 in
+  let visit x =
+    if x = into then raise Cycle
+    else if sc.seen.(x) <> stamp then begin
+      sc.seen.(x) <- stamp;
+      sc.stack.(!top) <- x;
+      incr top
     end
-  done;
-  let emitted = ref 0 in
-  while not (Queue.is_empty ready) do
-    let m = Queue.pop ready in
-    incr emitted;
-    List.iter
-      (fun s ->
-        indegree.(s) <- indegree.(s) - 1;
-        if indegree.(s) = 0 then Queue.push s ready)
-      successors.(m);
-    successors.(m) <- []
-  done;
-  !emitted = !total
+  in
+  let visit_succs v =
+    List.iter (fun s -> visit (macro_of q ~moved ~into s)) (Ir.Dfg.succs q.dfg v)
+  in
+  match
+    Bitset.iter
+      (fun v ->
+        List.iter
+          (fun s -> let x = macro_of q ~moved ~into s in if x <> into then visit x)
+          (Ir.Dfg.succs q.dfg v))
+      members;
+    while !top > 0 do
+      decr top;
+      let x = sc.stack.(!top) in
+      if x >= q.k then visit_succs (x - q.k)
+      else
+        Bitset.iter (fun v -> if macro_of q ~moved ~into v = x then visit_succs v) q.sets.(x)
+    done
+  with
+  | () -> false
+  | exception Cycle -> true
 
 (* Cluster-level adjacency for the current cluster list. *)
-let cluster_neighbors dfg clusters cluster_of set =
+let cluster_neighbors dfg cluster_of set =
   let out = ref [] in
   Bitset.iter
     (fun v ->
@@ -77,88 +107,83 @@ let cluster_neighbors dfg clusters cluster_of set =
       List.iter consider (Ir.Dfg.preds dfg v);
       List.iter consider (Ir.Dfg.succs dfg v))
     set;
-  ignore clusters;
   !out
 
-let rebuild_cluster_of n clusters =
-  let cluster_of = Array.make n (-1) in
-  Array.iteri
-    (fun i set -> match set with
-       | Some s -> Bitset.iter (fun v -> cluster_of.(v) <- i) s
-       | None -> ())
-    clusters;
-  cluster_of
+let owner_of n sets =
+  let owner = Array.make n (-1) in
+  Array.iteri (fun i set -> Bitset.iter (fun v -> owner.(v) <- i) set) sets;
+  owner
 
 (* One coarsening pass: visit clusters in random order and merge each
    unconsumed cluster with its best legal neighbour.  A cluster that
    found no partner stays available as a merge target for clusters
    visited later (consumed is set only by an actual merge). *)
-let coarsen_pass ?constraints dfg prng clusters =
+let coarsen_pass ?constraints dfg prng sc tried clusters =
   let n = Ir.Dfg.node_count dfg in
-  let live = Array.map (fun c -> Some c) clusters in
-  let cluster_of = rebuild_cluster_of n live in
-  let order = Array.init (Array.length clusters) (fun i -> i) in
+  let k = Array.length clusters in
+  let sets = Array.copy clusters in
+  let live = Array.make k true in
+  let cluster_of = owner_of n sets in
+  let q = { dfg; k; owner = cluster_of; sets; sc; group = cluster_of } in
+  let order = Array.init k (fun i -> i) in
   Util.Prng.shuffle prng order;
-  let consumed = Array.make (Array.length clusters) false in
+  let consumed = Array.make k false in
   let merged = ref false in
   Array.iter
     (fun i ->
-      if not consumed.(i) then
-        match live.(i) with
+      if not consumed.(i) then begin
+        let set = sets.(i) in
+        let candidates =
+          cluster_neighbors dfg cluster_of set
+          |> List.filter (fun j -> j <> i && not consumed.(j))
+        in
+        let best = ref None in
+        List.iter
+          (fun j ->
+            incr tried;
+            let union = Bitset.copy set in
+            Bitset.union_into union sets.(j);
+            match legal_score ?constraints dfg union with
+            | None -> ()
+            | Some { ratio = r; _ } ->
+              if not (creates_cycle q ~moved:j ~into:i union) then begin
+                match !best with
+                | Some (br, _, _) when br >= r -> ()
+                | Some _ | None -> best := Some (r, j, union)
+              end)
+          candidates;
+        match !best with
+        | Some (_, j, union) ->
+          consumed.(i) <- true;
+          consumed.(j) <- true;
+          sets.(i) <- union;
+          live.(j) <- false;
+          Bitset.iter (fun v -> cluster_of.(v) <- i) union;
+          merged := true
         | None -> ()
-        | Some set ->
-          let candidates =
-            cluster_neighbors dfg live cluster_of set
-            |> List.filter (fun j -> j <> i && not consumed.(j))
-          in
-          let best = ref None in
-          List.iter
-            (fun j ->
-              match live.(j) with
-              | None -> ()
-              | Some other ->
-                let union = Bitset.copy set in
-                Bitset.union_into union other;
-                if
-                  legal ?constraints dfg union
-                  && contraction_acyclic dfg
-                       ~macro_of:(fun v ->
-                         let c = cluster_of.(v) in
-                         if c = j then i else c)
-                       ~n_macros:(Array.length clusters)
-                then begin
-                  let r = ratio dfg union in
-                  match !best with
-                  | Some (br, _, _) when br >= r -> ()
-                  | Some _ | None -> best := Some (r, j, union)
-                end)
-            candidates;
-          (match !best with
-           | Some (_, j, union) ->
-             consumed.(i) <- true;
-             consumed.(j) <- true;
-             live.(i) <- Some union;
-             live.(j) <- None;
-             Bitset.iter (fun v -> cluster_of.(v) <- i) union;
-             merged := true
-           | None -> ()))
+      end)
     order;
   let next =
-    Array.to_list live |> List.filter_map (fun c -> c) |> Array.of_list
+    Array.to_list sets |> List.filteri (fun c _ -> live.(c)) |> Array.of_list
   in
   (next, !merged)
 
 (* Refinement at one level: move boundary units between partitions when
    the summed gain/area ratio improves and both partitions stay legal
-   (Algorithm 5, without the directional input/output repair). *)
-let refine_level ?constraints dfg prng units assignment partitions =
+   (Algorithm 5, without the directional input/output repair).
+   [scores] holds each partition's score and follows every move. *)
+let refine_level ?constraints dfg prng sc tried units assignment partitions
+    scores =
   let n_units = Array.length units in
   let order = Array.init n_units (fun i -> i) in
   Util.Prng.shuffle prng order;
   let unit_of_node = Array.make (Ir.Dfg.node_count dfg) (-1) in
   Array.iteri (fun i u -> Bitset.iter (fun v -> unit_of_node.(v) <- i) u) units;
-  let part_of_node = Array.make (Ir.Dfg.node_count dfg) (-1) in
-  Array.iteri (fun p set -> Bitset.iter (fun v -> part_of_node.(v) <- p) set) partitions;
+  let part_of_node = owner_of (Ir.Dfg.node_count dfg) partitions in
+  let q =
+    { dfg; k = Array.length partitions; owner = part_of_node; sets = partitions; sc;
+      group = unit_of_node }
+  in
   let changed = ref false in
   Array.iter
     (fun i ->
@@ -182,52 +207,54 @@ let refine_level ?constraints dfg prng units assignment partitions =
       if !neighbour_parts <> [] then begin
         let src_without = Bitset.copy partitions.(src) in
         Bitset.diff_into src_without unit;
-        if legal ?constraints dfg src_without then begin
-          let base_src = ratio dfg partitions.(src) in
-          let base_src_gain = emittable_gain dfg partitions.(src) in
+        match legal_score ?constraints dfg src_without with
+        | None -> ()
+        | Some without ->
+          let base_src = scores.(src).ratio in
+          let base_src_gain = scores.(src).gain in
           let best = ref None in
           List.iter
             (fun p ->
+              incr tried;
               let dst_with = Bitset.copy partitions.(p) in
               Bitset.union_into dst_with unit;
-              if legal ?constraints dfg dst_with then begin
+              match legal_score ?constraints dfg dst_with with
+              | None -> ()
+              | Some with_ ->
                 let improvement =
-                  ratio dfg dst_with -. ratio dfg partitions.(p)
-                  +. ratio dfg src_without -. base_src
+                  with_.ratio -. scores.(p).ratio +. without.ratio -. base_src
                 in
                 (* the ratio objective (Algorithm 5) chooses the move,
                    but a move must never lose emittable cycles — chasing
                    small dense partitions can wreck absolute gain *)
                 let gain_delta =
-                  emittable_gain dfg dst_with + emittable_gain dfg src_without
-                  - emittable_gain dfg partitions.(p) - base_src_gain
+                  with_.gain + without.gain - scores.(p).gain - base_src_gain
                 in
                 if
                   improvement > 1e-12 && gain_delta >= 0
-                  && contraction_acyclic dfg
-                       ~macro_of:(fun v ->
-                         if Bitset.mem unit v then p else part_of_node.(v))
-                       ~n_macros:(Array.length partitions)
+                  && not (creates_cycle q ~moved:i ~into:p dst_with)
                 then
                   match !best with
-                  | Some (bi, _, _) when bi >= improvement -> ()
-                  | Some _ | None -> best := Some (improvement, p, dst_with)
-              end)
+                  | Some (bi, _, _, _) when bi >= improvement -> ()
+                  | Some _ | None -> best := Some (improvement, p, dst_with, with_))
             !neighbour_parts;
           match !best with
-          | Some (_, p, dst_with) ->
+          | Some (_, p, dst_with, with_) ->
             partitions.(src) <- src_without;
             partitions.(p) <- dst_with;
+            scores.(src) <- without;
+            scores.(p) <- with_;
             Bitset.iter (fun v -> part_of_node.(v) <- p) unit;
             assignment.(i) <- p;
             changed := true
           | None -> ()
-        end
       end)
     order;
   !changed
 
 let partition_region ?constraints ?(seed = 17) ?(refine = true) dfg ~allowed =
+  Engine.Trace.with_span "mlgp.partition" @@ fun () ->
+  Obs.Metrics.time_s "mlgp.partition" @@ fun () ->
   let prng = Util.Prng.create seed in
   let n = Ir.Dfg.node_count dfg in
   (* Level 0: singletons. *)
@@ -235,18 +262,22 @@ let partition_region ?constraints ?(seed = 17) ?(refine = true) dfg ~allowed =
     Bitset.fold (fun v acc -> Bitset.of_list n [ v ] :: acc) allowed []
     |> List.rev |> Array.of_list
   in
-  if Array.length singletons = 0 then []
+  let k = Array.length singletons in
+  if k = 0 then []
   else begin
+    let sc = { seen = Array.make (k + n) 0; stack = Array.make (k + n) 0; stamp = 0 } in
+    let merges = ref 0 and moves = ref 0 in
     (* Coarsening, recording each level's clusters. *)
     let levels = ref [ singletons ] in
     let rec coarsen clusters =
-      let next, progress = coarsen_pass ?constraints dfg prng clusters in
+      let next, progress = coarsen_pass ?constraints dfg prng sc merges clusters in
       if progress then begin
         levels := next :: !levels;
         coarsen next
       end
     in
-    coarsen singletons;
+    Engine.Trace.with_span "mlgp.coarsen" (fun () ->
+        Obs.Metrics.time_s "mlgp.coarsen" (fun () -> coarsen singletons));
     (* Initial partitioning: each coarsest cluster is a partition. *)
     let coarsest = List.hd !levels in
     let partitions = Array.map Bitset.copy coarsest in
@@ -254,26 +285,35 @@ let partition_region ?constraints ?(seed = 17) ?(refine = true) dfg ~allowed =
        clusters; their initial assignment is the partition that contains
        them. *)
     if refine then
-    List.iter
-      (fun units ->
-        let part_of_node = Array.make n (-1) in
-        Array.iteri
-          (fun p set -> Bitset.iter (fun v -> part_of_node.(v) <- p) set)
-          partitions;
-        let assignment =
-          Array.map
-            (fun u ->
-              match Bitset.elements u with
-              | v :: _ -> part_of_node.(v)
-              | [] -> 0)
-            units
-        in
-        let rec fixpoint k =
-          if k > 0 && refine_level ?constraints dfg prng units assignment partitions
-          then fixpoint (k - 1)
-        in
-        fixpoint 3)
-      (List.tl !levels);
+      Engine.Trace.with_span "mlgp.refine" (fun () ->
+          Obs.Metrics.time_s "mlgp.refine" (fun () ->
+              let scores =
+                Array.map
+                  (fun set -> score_of (Isa.Custom_inst.make_unchecked dfg set))
+                  partitions
+              in
+              List.iter
+                (fun units ->
+                  let part_of_node = owner_of n partitions in
+                  let assignment =
+                    Array.map
+                      (fun u ->
+                        match Bitset.elements u with
+                        | v :: _ -> part_of_node.(v)
+                        | [] -> 0)
+                      units
+                  in
+                  let rec fixpoint rounds =
+                    if
+                      rounds > 0
+                      && refine_level ?constraints dfg prng sc moves units
+                           assignment partitions scores
+                    then fixpoint (rounds - 1)
+                  in
+                  fixpoint 3)
+                (List.tl !levels)));
+    Obs.Metrics.inc ~by:(float_of_int !merges) "mlgp.merge_candidates";
+    Obs.Metrics.inc ~by:(float_of_int !moves) "mlgp.move_candidates";
     (* Emit non-empty partitions with positive gain; drop instructions
        that would make the block unschedulable (mutual dependences). *)
     Array.to_list partitions

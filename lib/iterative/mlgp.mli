@@ -29,7 +29,10 @@ val partition_region :
     into disjoint legal custom instructions; only partitions with
     strictly positive gain are returned, best gain first.  The returned
     set is jointly schedulable (no mutual dependences between
-    instructions — see {!Ise.Codegen.sanitize}). *)
+    instructions — see {!Ise.Codegen.sanitize}).  Each run records the
+    spans and timers [mlgp.partition], [mlgp.coarsen] and [mlgp.refine],
+    and adds the merge and move candidates it tried to the counters
+    [mlgp.merge_candidates] and [mlgp.move_candidates]. *)
 
 val cover_dfg :
   ?constraints:Isa.Hw_model.constraints ->

@@ -29,34 +29,34 @@ let draw_kind prng mix =
 let block ?(loads = 0) ?(stores = 0) ?(window = 12) ?(live_in_bias = 0.15) prng
     ~size mix =
   let b = B.create () in
-  let values = ref [] in
+  (* every value so far, oldest first *)
+  let values = Array.make (max 0 loads + max 0 size) 0 in
+  let count = ref 0 in
+  let push v =
+    values.(!count) <- v;
+    incr count
+  in
   (* Memory reads first: addresses are implicit live-ins. *)
   for _ = 1 to loads do
-    values := B.add b Ir.Op.Load :: !values
+    push (B.add b Ir.Op.Load)
   done;
   for _ = 1 to size do
     let kind = draw_kind prng mix in
-    (* oldest-first, so the window below really is the most recent values *)
-    let avail = Array.of_list (List.rev !values) in
-    let pool = Array.length avail in
+    let pool = !count in
     let operands = ref [] in
     for _ = 1 to Ir.Op.arity kind do
       if pool > 0 && Prng.float prng 1.0 >= live_in_bias then begin
         let lo = max 0 (pool - window) in
-        let pick = avail.(Prng.in_range prng lo (pool - 1)) in
+        let pick = values.(Prng.in_range prng lo (pool - 1)) in
         if not (List.mem pick !operands) then operands := pick :: !operands
       end
     done;
-    values := B.add_with b kind !operands :: !values
+    push (B.add_with b kind !operands)
   done;
   (* Memory writes consume the freshest values. *)
-  let rec take n = function
-    | v :: rest when n > 0 -> v :: take (n - 1) rest
-    | _ -> []
-  in
-  List.iter
-    (fun v -> ignore (B.add_with b Ir.Op.Store [ v ]))
-    (take stores !values);
+  for i = 1 to min stores !count do
+    ignore (B.add_with b Ir.Op.Store [ values.(!count - i) ])
+  done;
   B.finish b
 
 (* 8-point Loeffler-style integer DCT: loads, butterfly stages with

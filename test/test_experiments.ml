@@ -99,6 +99,27 @@ let test_ch5_driver_cell_runs_once () =
   check (Alcotest.float 0.) "one hit" 1. (Obs.Snapshot.counter ~labels:ns d "memo.hits");
   check bool "the same run and time" true (a == b)
 
+(* A1 prints a timing column, so it has no golden file: pin its gain
+   columns (with and without MLGP refinement) here. *)
+let test_a1_gain_columns () =
+  match Experiments.Registry.find "a1" with
+  | None -> Alcotest.fail "experiment a1 not registered"
+  | Some e ->
+    let rows =
+      String.split_on_char '\n' (render e)
+      |> List.filter_map (fun line ->
+             match String.split_on_char ' ' line |> List.filter (( <> ) "") with
+             | kernel :: g1 :: g0 :: _ when int_of_string_opt g1 <> None ->
+               Some (kernel, int_of_string g1, int_of_string g0)
+             | _ -> None)
+    in
+    check
+      Alcotest.(list (triple string int int))
+      "kernel, gain with refinement, gain without"
+      [ ("sha", 260, 260); ("rijndael", 131, 129); ("blowfish", 249, 246);
+        ("aes", 124, 120); ("adpcm_enc", 180, 175) ]
+      rows
+
 let test_tasks_of_utilization () =
   let tasks = Experiments.Curves.tasks_of ~u:1.05 [ "lms"; "ndes" ] in
   check (Alcotest.float 0.02) "target utilization" 1.05
@@ -128,4 +149,5 @@ let () =
           Alcotest.test_case "t5.2 lists the chapter-5 sets" `Quick
             (run_and_expect "t5.2" [ "3des, rijndael, sha, g721decode" ]);
           Alcotest.test_case "t4.1 notes the ispell substitution" `Quick
-            (run_and_expect "t4.1" [ "md5" ]) ] ) ]
+            (run_and_expect "t4.1" [ "md5" ]);
+          Alcotest.test_case "a1 gain columns" `Quick test_a1_gain_columns ] ) ]

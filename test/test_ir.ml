@@ -110,6 +110,36 @@ let test_critical_path () =
   check (Alcotest.float 1e-9) "critical path" 7.
     (Ir.Dfg.critical_path dfg ~delay set)
 
+(* The systhreads of one domain share [critical_path]'s scratch.  A
+   [delay] that yields at every node makes four threads interleave
+   inside the call on overlapping random sets; each must still get the
+   answers of a sequential run. *)
+let test_critical_path_threads () =
+  let prng = Util.Prng.create 5 in
+  let dfg = Kernels.Blockgen.block prng ~size:200 Kernels.Blockgen.dsp_mix in
+  let n = Ir.Dfg.node_count dfg in
+  let sets =
+    Array.init 8 (fun _ ->
+        let set = Util.Bitset.create n in
+        for v = 0 to n - 1 do
+          if Util.Prng.int prng 2 = 0 then Util.Bitset.set set v
+        done;
+        set)
+  in
+  let delay_of = function Ir.Op.Mul -> 5. | Ir.Op.Add -> 3. | _ -> 2. in
+  let run ~delay i =
+    List.init 8 (fun j -> Ir.Dfg.critical_path dfg ~delay sets.((i + j) mod 8))
+  in
+  let expected = Array.init 4 (run ~delay:delay_of) in
+  let got = Array.make 4 [] in
+  let yielding k = Thread.yield (); delay_of k in
+  List.init 4 (fun i -> Thread.create (fun () -> got.(i) <- run ~delay:yielding i) ())
+  |> List.iter Thread.join;
+  Array.iteri
+    (fun i e ->
+      check (Alcotest.list (Alcotest.float 0.)) (Printf.sprintf "thread %d" i) e got.(i))
+    expected
+
 let test_reachability () =
   let dfg, ld, a1, m, a2, st = diamond () in
   let r = Ir.Dfg.reachable_from dfg ld in
@@ -396,6 +426,7 @@ let () =
           Alcotest.test_case "convexity" `Quick test_convexity;
           Alcotest.test_case "connectivity" `Quick test_connectivity;
           Alcotest.test_case "critical path" `Quick test_critical_path;
+          Alcotest.test_case "critical path across threads" `Quick test_critical_path_threads;
           Alcotest.test_case "reachability" `Quick test_reachability;
           qt prop_topo_respects_edges;
           qt prop_convex_superset_of_closure;

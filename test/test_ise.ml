@@ -244,6 +244,75 @@ let rec cfg_shape (s : Ir.Cfg.stmt) =
       (cfg_shape e)
   | Loop (k, body) -> Printf.sprintf "loop %d %s" k (cfg_shape body)
 
+(* [Blockgen.block] as it stood when it rebuilt the array of available
+   values for every operation; the appending builder must draw the same
+   numbers and pick the same operands. *)
+let quadratic_block ?(loads = 0) ?(stores = 0) ?(window = 12) ?(live_in_bias = 0.15)
+    prng ~size mix =
+  let module B = Ir.Dfg.Builder in
+  let module Prng = Util.Prng in
+  let draw_kind prng mix =
+    let total = List.fold_left (fun acc (_, w) -> acc + w) 0 mix in
+    let roll = Prng.int prng total in
+    let rec pick acc = function
+      | [] -> assert false
+      | (k, w) :: rest -> if roll < acc + w then k else pick (acc + w) rest
+    in
+    pick 0 mix
+  in
+  let b = B.create () in
+  let values = ref [] in
+  for _ = 1 to loads do
+    values := B.add b Ir.Op.Load :: !values
+  done;
+  for _ = 1 to size do
+    let kind = draw_kind prng mix in
+    let avail = Array.of_list (List.rev !values) in
+    let pool = Array.length avail in
+    let operands = ref [] in
+    for _ = 1 to Ir.Op.arity kind do
+      if pool > 0 && Prng.float prng 1.0 >= live_in_bias then begin
+        let lo = max 0 (pool - window) in
+        let pick = avail.(Prng.in_range prng lo (pool - 1)) in
+        if not (List.mem pick !operands) then operands := pick :: !operands
+      end
+    done;
+    values := B.add_with b kind !operands :: !values
+  done;
+  let rec take n = function
+    | v :: rest when n > 0 -> v :: take (n - 1) rest
+    | _ -> []
+  in
+  List.iter (fun v -> ignore (B.add_with b Ir.Op.Store [ v ])) (take stores !values);
+  B.finish b
+
+let dfg_shape d =
+  List.map
+    (fun v -> (Ir.Op.name (Ir.Dfg.kind d v), Ir.Dfg.preds d v, Ir.Dfg.succs d v, Ir.Dfg.live_out d v))
+    (Ir.Dfg.nodes d)
+
+let test_blockgen_matches_quadratic_builder () =
+  let mixes =
+    Kernels.Blockgen.[| crypto_mix; dsp_mix; control_mix |]
+  in
+  for size = 0 to 300 do
+    List.iter
+      (fun mix ->
+        let loads = size mod 5 and stores = size mod 7 in
+        let window = if size mod 2 = 0 then None else Some (1 + (size mod 16)) in
+        let live_in_bias = if size mod 3 = 0 then Some 0.5 else None in
+        let p_new = Util.Prng.create size and p_old = Util.Prng.create size in
+        let got =
+          Kernels.Blockgen.block ~loads ~stores ?window ?live_in_bias p_new ~size mix
+        in
+        let want = quadratic_block ~loads ~stores ?window ?live_in_bias p_old ~size mix in
+        if dfg_shape got <> dfg_shape want then
+          Alcotest.failf "size %d, %d loads, %d stores: blocks differ" size loads stores;
+        check Alcotest.int "same draws" (Util.Prng.int p_old 1_000_000)
+          (Util.Prng.int p_new 1_000_000))
+      (Array.to_list mixes)
+  done
+
 let test_kernel_table () =
   let names =
     [ "adpcm_enc"; "adpcm_dec"; "sha"; "jfdctint"; "g721encode"; "g721decode";
@@ -289,4 +358,6 @@ let () =
         [ Alcotest.test_case "lms curve" `Quick test_curve_generation_lms;
           Alcotest.test_case "g721 speedup in range" `Quick test_curve_speedup_in_published_range ] );
       ( "kernels",
-        [ Alcotest.test_case "table builds each kernel by name" `Quick test_kernel_table ] ) ]
+        [ Alcotest.test_case "table builds each kernel by name" `Quick test_kernel_table;
+          Alcotest.test_case "blockgen matches quadratic builder" `Quick
+            test_blockgen_matches_quadratic_builder ] ) ]

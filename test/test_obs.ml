@@ -498,8 +498,17 @@ let test_solvers_no_kind_clash () =
   ignore (Rtreconfig.Solvers.dp m : Rtreconfig.Model.placement);
   ignore (Rtreconfig.Solvers.static m : Rtreconfig.Model.placement);
   ignore (Rtreconfig.Solvers.optimal m : Rtreconfig.Model.placement);
+  ignore
+    (Iterative.Driver.run
+       (Iterative.Driver.tasks_of_kernels ~u:1.2
+          [ ("sha", Kernels.find "sha"); ("lms", Kernels.find "lms") ])
+      : Iterative.Driver.result);
   let d = Obs.Snapshot.delta ~before:s0 ~after:(Obs.Snapshot.take ()) in
   check eps "no kind clash" 0. (Obs.Snapshot.counter d "obs.kind_clash");
+  check bool "MLGP merge candidates counted" true
+    (Obs.Snapshot.counter d "mlgp.merge_candidates" > 0.);
+  check bool "MLGP move candidates counted" true
+    (Obs.Snapshot.counter d "mlgp.move_candidates" > 0.);
   check eps "exhaustive counts every partition of 6 loops" 203.
     (Obs.Snapshot.counter d "reconfig.partitions");
   check bool "optimal counts its nodes" true (Obs.Snapshot.counter d "rtreconfig.nodes" > 0.);
