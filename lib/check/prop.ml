@@ -849,19 +849,22 @@ let auto_dispatch_consistent =
    lists in order with every field, equal saturation and equal fuel
    use.  The budgets are small enough that both caps saturate, some
    runs restrict the search to an [allowed] subset and some run under
-   a fuel limit. *)
+   a fuel limit.  The instance DFGs fit one bitset word, so each case
+   also enumerates a Blockgen block of 64-300 operations (2-5 words),
+   one draw in three with a [max_explored] of a few thousand, which
+   grows the enumerator's set store and its table past their initial
+   sizes. *)
 let identification_matches_reference =
   { name = "identification_matches_reference";
     suite = "isegen";
     run =
       (fun inst ->
         let dfg = Batch.Instance.dfg inst in
-        let n = Ir.Dfg.node_count dfg in
         let constraints = Isa.Hw_model.default_constraints in
         let prng =
           Util.Prng.create (Hashtbl.hash (inst.Batch.Instance.budget, inst.Batch.Instance.dfg))
         in
-        let draw_allowed () =
+        let draw_allowed n =
           if Util.Prng.bool prng then None
           else
             Some
@@ -895,13 +898,8 @@ let identification_matches_reference =
           | None -> "none"
           | Some s -> Ise.Enumerate.saturation_reason s
         in
-        let enumerate () =
-          let budget =
-            { Ise.Enumerate.max_size = Util.Prng.in_range prng 1 (n + 1);
-              max_explored = Util.Prng.in_range prng 5 200;
-              max_candidates = Util.Prng.in_range prng 1 60 }
-          in
-          let allowed = draw_allowed () in
+        let enumerate what dfg (budget : Ise.Enumerate.budget) () =
+          let allowed = draw_allowed (Ir.Dfg.node_count dfg) in
           let g, g_ref = guards () in
           let got, sat =
             Ise.Enumerate.connected_full ~guard:g ~constraints ~budget ?allowed dfg
@@ -910,14 +908,48 @@ let identification_matches_reference =
             Oracle.Enumerate_ref.connected_full ~guard:g_ref ~constraints ~budget
               ?allowed dfg
           in
+          let what =
+            Printf.sprintf "%s (%d nodes, budget %d/%d/%d, allowed %b)" what
+              (Ir.Dfg.node_count dfg) budget.max_size budget.max_explored
+              budget.max_candidates (allowed <> None)
+          in
           first_failure
-            [ (fun () -> same_list "enumeration" got want);
+            [ (fun () -> same_list what got want);
               (fun () ->
                 if sat = sat_ref then Pass
                 else
-                  failf "enumeration saturation %s, reference %s" (sat_name sat)
+                  failf "%s saturation %s, reference %s" what (sat_name sat)
                     (sat_name sat_ref));
-              (fun () -> same_fuel "enumeration" g g_ref) ]
+              (fun () -> same_fuel what g g_ref) ]
+        in
+        let instance () =
+          enumerate "enumeration" dfg
+            { Ise.Enumerate.max_size = Util.Prng.in_range prng 1 (Ir.Dfg.node_count dfg + 1);
+              max_explored = Util.Prng.in_range prng 5 200;
+              max_candidates = Util.Prng.in_range prng 1 60 }
+            ()
+        in
+        let block () =
+          let block =
+            Kernels.Blockgen.block
+              ~loads:(Util.Prng.in_range prng 0 4)
+              ~stores:(Util.Prng.in_range prng 0 3)
+              ~window:(Util.Prng.in_range prng 2 12)
+              (Util.Prng.split prng)
+              ~size:(Util.Prng.in_range prng 64 300)
+              (Util.Prng.choose prng
+                 Kernels.Blockgen.[| crypto_mix; dsp_mix; control_mix |])
+          in
+          let deep = Util.Prng.int prng 3 = 0 in
+          enumerate "block enumeration" block
+            { Ise.Enumerate.max_size = Util.Prng.in_range prng 1 12;
+              max_explored =
+                (if deep then Util.Prng.in_range prng 2000 5000
+                 else Util.Prng.in_range prng 5 300);
+              max_candidates =
+                (if deep then Util.Prng.in_range prng 100 400
+                 else Util.Prng.in_range prng 1 60) }
+            ()
         in
         let isegen () =
           let params =
@@ -926,7 +958,7 @@ let identification_matches_reference =
               restarts = Util.Prng.in_range prng 1 16;
               merge_pool = Util.Prng.in_range prng 0 24 }
           in
-          let allowed = draw_allowed () in
+          let allowed = draw_allowed (Ir.Dfg.node_count dfg) in
           let g, g_ref = guards () in
           let got = Ise.Isegen.generate ~guard:g ~constraints ~params ?allowed dfg in
           let want =
@@ -936,7 +968,8 @@ let identification_matches_reference =
             [ (fun () -> same_list "isegen" got want);
               (fun () -> same_fuel "isegen" g g_ref) ]
         in
-        first_failure (List.concat_map (fun _ -> [ enumerate; isegen ]) [ 1; 2; 3 ]))
+        first_failure
+          (List.concat_map (fun _ -> [ instance; isegen ]) [ 1; 2; 3 ] @ [ block; block ]))
   }
 
 (* ---------------------------------------------------------------- *)

@@ -34,8 +34,16 @@ let null_fmt =
 let prng_for ~seed (p : Prop.t) =
   Util.Prng.create (seed lxor (Hashtbl.hash p.Prop.name * 0x1000193))
 
-let still_fails (p : Prop.t) inst =
+(* A property that raises fails on that instance, with the exception's
+   text as its message, so the run shrinks it, writes its repro and
+   goes on to the next property. *)
+let run_case (p : Prop.t) inst =
   match p.Prop.run inst with
+  | outcome -> outcome
+  | exception e -> Prop.Fail ("raised " ^ Printexc.to_string e)
+
+let still_fails (p : Prop.t) inst =
+  match run_case p inst with
   | Prop.Fail _ -> true
   | Prop.Pass | Prop.Skip _ -> false
 
@@ -69,7 +77,7 @@ let run_property ~fmt ~config (p : Prop.t) =
   while !failure = None && !case < config.budget do
     let inst = Gen.instance (Util.Prng.split prng) in
     Obs.Metrics.inc ~labels:[ ("suite", p.Prop.suite) ] "check.cases";
-    (match p.Prop.run inst with
+    (match run_case p inst with
      | Prop.Pass -> incr passed
      | Prop.Skip _ -> incr skipped
      | Prop.Fail message ->
@@ -80,7 +88,7 @@ let run_property ~fmt ~config (p : Prop.t) =
          Shrink.shrink ~still_fails:(still_fails p) inst
        in
        let message =
-         match p.Prop.run shrunk with
+         match run_case p shrunk with
          | Prop.Fail m -> m
          | Prop.Pass | Prop.Skip _ -> message
        in
@@ -169,7 +177,7 @@ let replay ?(fmt = null_fmt) ?(props = Prop.all) file =
      | Some p ->
        Format.fprintf fmt "replaying %s (recorded from seed %d):@.%a@." prop
          seed Batch.Instance.pp instance;
-       (match p.Prop.run instance with
+       (match run_case p instance with
         | Prop.Pass ->
           Format.fprintf fmt "property now passes@.";
           Ok true

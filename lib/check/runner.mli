@@ -39,7 +39,8 @@ val ok : summary -> bool
 val run : ?fmt:Format.formatter -> ?props:Prop.t list -> config -> summary
 (** Run every selected property for [config.budget] cases each,
     stopping a property at its first failure (which is then shrunk and
-    persisted).  Progress and failures go to [fmt] (default a null
+    persisted).  A property that raises fails on that case, with the
+    exception's text as its message.  Progress and failures go to [fmt] (default a null
     formatter) and to {!Engine.Log}; counters land in
     [Obs.Metrics] ([check.cases], [check.failures]).  [props]
     overrides the suite selection (the self-test injects a broken

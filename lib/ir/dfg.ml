@@ -6,7 +6,13 @@ type t = {
   kinds : Op.kind array;
   preds : node list array; (* in reverse insertion order *)
   succs : node list array;
-  live_out_marks : bool array;
+  (* the same adjacency as arrays, and per node its implicit live-in
+     operands and whether its value escapes whatever the set (marked
+     live-out or no successors): the port counts read only these *)
+  pred_arr : node array array;
+  succ_arr : node array array;
+  implicit : int array;
+  escapes : bool array;
   topo : node array;
   closures : (Bitset.t array * Bitset.t array) lazy_t;
       (* (reach, anc): reach.(v) = nodes reachable from v, anc.(v) =
@@ -66,6 +72,8 @@ module Builder = struct
       preds;
     let live_out_marks = Array.make n false in
     List.iter (fun v -> live_out_marks.(v) <- true) b.b_live_out;
+    let implicit = Array.init n (fun v -> Op.arity kinds.(v) - List.length preds.(v)) in
+    let escapes = Array.init n (fun v -> live_out_marks.(v) || succs.(v) = []) in
     (* Node ids are already topological because edges only go forward. *)
     let topo = Array.init n (fun i -> i) in
     let closures =
@@ -85,14 +93,22 @@ module Builder = struct
          let ids = List.init n (fun i -> i) in
          (close (List.rev ids) succs, close ids preds))
     in
-    { kinds; preds; succs; live_out_marks; topo; closures }
+    { kinds;
+      preds;
+      succs;
+      pred_arr = Array.map Array.of_list preds;
+      succ_arr = Array.map Array.of_list succs;
+      implicit;
+      escapes;
+      topo;
+      closures }
 end
 
 let node_count t = Array.length t.kinds
 let kind t v = t.kinds.(v)
 let preds t v = t.preds.(v)
 let succs t v = t.succs.(v)
-let live_out t v = t.live_out_marks.(v) || t.succs.(v) = []
+let live_out t v = t.escapes.(v)
 let topo_order t = t.topo
 let nodes t = List.init (node_count t) (fun i -> i)
 let valid_node t v = Op.is_valid t.kinds.(v)
@@ -103,29 +119,90 @@ let sw_cycles_total t =
 let sw_cycles_of_set t set =
   Bitset.fold (fun v acc -> acc + Op.sw_cycles t.kinds.(v)) set 0
 
-let input_count t set =
-  let external_producers = Bitset.create (node_count t) in
-  let implicit = ref 0 in
-  Bitset.iter
-    (fun v ->
-      let explicit = List.length t.preds.(v) in
-      implicit := !implicit + (Op.arity t.kinds.(v) - explicit);
-      List.iter
-        (fun p -> if not (Bitset.mem set p) then Bitset.set external_producers p)
-        t.preds.(v))
-    set;
-  Bitset.cardinal external_producers + !implicit
+(* Per-domain scratch: [stamp] marks counted producers with the call's
+   [epoch], so it is never cleared; [finish] holds [critical_path]'s
+   finish times.  Both grow to the largest DFG seen, and a call reads
+   only entries it has written itself.  The systhreads of a domain
+   share the record, so a call takes it with a compare-and-set and
+   releases it on return; a call that finds it taken (another thread of
+   the domain is inside) works in a fresh one. *)
+type scratch = {
+  busy : bool Atomic.t;
+  mutable stamp : int array;
+  mutable epoch : int;
+  mutable finish : float array;
+}
 
-let output_count t set =
-  Bitset.fold
-    (fun v acc ->
-      let escapes =
-        t.live_out_marks.(v)
-        || t.succs.(v) = []
-        || List.exists (fun s -> not (Bitset.mem set s)) t.succs.(v)
-      in
-      if escapes then acc + 1 else acc)
-    set 0
+let fresh_scratch () =
+  { busy = Atomic.make false; stamp = [||]; epoch = 0; finish = [||] }
+
+let scratch_key = Domain.DLS.new_key fresh_scratch
+
+let acquire () =
+  let s = Domain.DLS.get scratch_key in
+  if Atomic.compare_and_set s.busy false true then s else fresh_scratch ()
+
+let release s = Atomic.set s.busy false
+
+(* Inputs of [set] (distinct external producers plus implicit
+   operands), counted until the count passes [limit]. *)
+let count_inputs t set limit stamp epoch =
+  let n = Bitset.capacity set in
+  let count = ref 0 in
+  let v = ref (Bitset.next set 0) in
+  while !v < n && !count <= limit do
+    count := !count + t.implicit.(!v);
+    let ps = t.pred_arr.(!v) in
+    for j = 0 to Array.length ps - 1 do
+      let p = Array.unsafe_get ps j in
+      if (not (Bitset.mem set p)) && Array.unsafe_get stamp p <> epoch then begin
+        Array.unsafe_set stamp p epoch;
+        incr count
+      end
+    done;
+    v := Bitset.next set (!v + 1)
+  done;
+  !count
+
+let inputs_upto t set limit =
+  let s = acquire () in
+  let n = node_count t in
+  if Array.length s.stamp < n then s.stamp <- Array.make n 0;
+  s.epoch <- s.epoch + 1;
+  match count_inputs t set limit s.stamp s.epoch with
+  | c ->
+    release s;
+    c
+  | exception e ->
+    release s;
+    raise e
+
+let escapes_set t set v =
+  t.escapes.(v)
+  ||
+  let ss = t.succ_arr.(v) in
+  let j = ref 0 in
+  while !j < Array.length ss && Bitset.mem set (Array.unsafe_get ss !j) do
+    incr j
+  done;
+  !j < Array.length ss
+
+let outputs_upto t set limit =
+  let n = Bitset.capacity set in
+  let count = ref 0 in
+  let v = ref (Bitset.next set 0) in
+  while !v < n && !count <= limit do
+    if escapes_set t set !v then incr count;
+    v := Bitset.next set (!v + 1)
+  done;
+  !count
+
+let input_count t set = inputs_upto t set max_int
+let output_count t set = outputs_upto t set max_int
+
+let ports_within t ~max_inputs ~max_outputs set =
+  inputs_upto t set max_inputs <= max_inputs
+  && outputs_upto t set max_outputs <= max_outputs
 
 let reachable_from t v = (fst (Lazy.force t.closures)).(v)
 let ancestors_of t v = (snd (Lazy.force t.closures)).(v)
@@ -133,15 +210,17 @@ let ancestors_of t v = (snd (Lazy.force t.closures)).(v)
 (* Convex iff no successor outside the set can reach back into it. *)
 let is_convex t set =
   let reach = fst (Lazy.force t.closures) in
+  let n = Bitset.capacity set in
   let ok = ref true in
-  Bitset.iter
-    (fun v ->
-      List.iter
-        (fun w ->
-          if (not (Bitset.mem set w)) && Bitset.intersects reach.(w) set then
-            ok := false)
-        t.succs.(v))
-    set;
+  let v = ref (Bitset.next set 0) in
+  while !ok && !v < n do
+    let ss = t.succ_arr.(!v) in
+    for j = 0 to Array.length ss - 1 do
+      let w = Array.unsafe_get ss j in
+      if (not (Bitset.mem set w)) && Bitset.intersects reach.(w) set then ok := false
+    done;
+    v := Bitset.next set (!v + 1)
+  done;
   !ok
 
 let is_connected t set =
@@ -160,32 +239,20 @@ let is_connected t set =
     Bitset.cardinal visited = Bitset.cardinal set
 
 let all_valid t set =
-  Bitset.fold (fun v acc -> acc && valid_node t v) set true
+  let n = Bitset.capacity set in
+  let v = ref (Bitset.next set 0) in
+  while !v < n && valid_node t !v do
+    v := Bitset.next set (!v + 1)
+  done;
+  !v >= n
 
 (* Node ids are topological, so ascending members are visited in
-   [topo] order.  [finish] is scratch that grows to the largest DFG
-   seen: a call reads only the entries of member predecessors, which it
-   has written itself, so what earlier calls left behind is never read.
-   There is one scratch per domain, and the systhreads of a domain share
-   it, so a call takes it with a compare-and-set and releases it on
-   return; a call that finds it taken (another thread of the domain is
-   inside [critical_path]) works in a fresh array. *)
-type finish_scratch = { busy : bool Atomic.t; mutable finish : float array }
-
-let finish_scratch =
-  Domain.DLS.new_key (fun () -> { busy = Atomic.make false; finish = [||] })
-
+   [topo] order. *)
 let critical_path t ~delay set =
   let n = node_count t in
-  let scratch = Domain.DLS.get finish_scratch in
-  let owned = Atomic.compare_and_set scratch.busy false true in
-  let finish =
-    if not owned then Array.make n 0.
-    else begin
-      if Array.length scratch.finish < n then scratch.finish <- Array.make n 0.;
-      scratch.finish
-    end
-  in
+  let s = acquire () in
+  if Array.length s.finish < n then s.finish <- Array.make n 0.;
+  let finish = s.finish in
   let best = ref 0. in
   match
     Bitset.iter
@@ -200,10 +267,10 @@ let critical_path t ~delay set =
       set
   with
   | () ->
-    if owned then Atomic.set scratch.busy false;
+    release s;
     !best
   | exception e ->
-    if owned then Atomic.set scratch.busy false;
+    release s;
     raise e
 
 let pp_stats fmt t =

@@ -78,6 +78,11 @@ val output_count : t -> Util.Bitset.t -> int
 (** Number of member nodes whose value is consumed outside the set or is
     live-out. *)
 
+val ports_within : t -> max_inputs:int -> max_outputs:int -> Util.Bitset.t -> bool
+(** [input_count t set <= max_inputs && output_count t set <= max_outputs],
+    each count stopping as soon as it passes its bound.  Allocates
+    nothing. *)
+
 val is_convex : t -> Util.Bitset.t -> bool
 (** No path leaves the set and re-enters it (thesis §5.2.1). *)
 

@@ -32,25 +32,32 @@ let make_unchecked dfg nodes =
   evaluate dfg nodes ~inputs:(Ir.Dfg.input_count dfg nodes)
     ~outputs:(Ir.Dfg.output_count dfg nodes)
 
+(* Admissibility has one definition: the port bounds and [well_formed].
+   [feasible] tests the port bounds first, because a grown set that
+   breaks them is the common case and each count stops at its bound;
+   [check] diagnoses a rejection in its documented order. *)
+let well_formed dfg nodes =
+  (not (Bitset.is_empty nodes)) && Ir.Dfg.all_valid dfg nodes && Ir.Dfg.is_convex dfg nodes
+
+let feasible ?(constraints = Hw_model.default_constraints) dfg nodes =
+  Ir.Dfg.ports_within dfg ~max_inputs:constraints.Hw_model.max_inputs
+    ~max_outputs:constraints.Hw_model.max_outputs nodes
+  && well_formed dfg nodes
+
 let check ?(constraints = Hw_model.default_constraints) dfg nodes =
-  if Bitset.is_empty nodes then Error Empty
+  if feasible ~constraints dfg nodes then Ok (make_unchecked dfg nodes)
+  else if Bitset.is_empty nodes then Error Empty
   else if not (Ir.Dfg.all_valid dfg nodes) then Error Invalid_operation
   else if not (Ir.Dfg.is_convex dfg nodes) then Error Not_convex
   else
     let inputs = Ir.Dfg.input_count dfg nodes in
     if inputs > constraints.Hw_model.max_inputs then Error (Too_many_inputs inputs)
-    else
-      let outputs = Ir.Dfg.output_count dfg nodes in
-      if outputs > constraints.Hw_model.max_outputs then
-        Error (Too_many_outputs outputs)
-      else Ok (evaluate dfg nodes ~inputs ~outputs)
+    else Error (Too_many_outputs (Ir.Dfg.output_count dfg nodes))
 
 let admissible ?(constraints = Hw_model.default_constraints) dfg ci =
   ci.inputs <= constraints.Hw_model.max_inputs
   && ci.outputs <= constraints.Hw_model.max_outputs
-  && (not (Bitset.is_empty ci.nodes))
-  && Ir.Dfg.all_valid dfg ci.nodes
-  && Ir.Dfg.is_convex dfg ci.nodes
+  && well_formed dfg ci.nodes
 
 let pp_rejection fmt = function
   | Invalid_operation -> Format.pp_print_string fmt "contains an invalid operation"
@@ -63,8 +70,6 @@ let make ?constraints dfg nodes =
   match check ?constraints dfg nodes with
   | Ok ci -> ci
   | Error r -> invalid_arg (Format.asprintf "Custom_inst.make: %a" pp_rejection r)
-
-let feasible ?constraints dfg nodes = Result.is_ok (check ?constraints dfg nodes)
 
 (* Structure (nodes, size, sw cost, port counts) is target-independent;
    only the hardware latency and silicon area move with the backend. *)

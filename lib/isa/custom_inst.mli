@@ -27,7 +27,10 @@ val check :
   ?constraints:Hw_model.constraints -> Ir.Dfg.t -> Util.Bitset.t ->
   (t, rejection) result
 (** Validate a node set against the architectural constraints and
-    evaluate its metrics. *)
+    evaluate its metrics.  [Ok] exactly when {!feasible}; a rejection
+    names the first failed test in the order [Empty],
+    [Invalid_operation], [Not_convex], [Too_many_inputs],
+    [Too_many_outputs], with the full port count. *)
 
 val make :
   ?constraints:Hw_model.constraints -> Ir.Dfg.t -> Util.Bitset.t -> t
@@ -45,6 +48,11 @@ val admissible : ?constraints:Hw_model.constraints -> Ir.Dfg.t -> t -> bool
 
 val feasible :
   ?constraints:Hw_model.constraints -> Ir.Dfg.t -> Util.Bitset.t -> bool
+(** [Result.is_ok (check dfg nodes)] without evaluating the set or
+    naming the rejection: the port bounds first, each count stopping at
+    its bound, then emptiness, validity and convexity.  Allocates
+    nothing (beyond the [Some] of a passed [constraints]), so a search
+    can test every set it explores and evaluate only those that pass. *)
 
 val evaluate_with : Hw_model.backend -> Ir.Dfg.t -> t -> t
 (** Re-cost an instruction under another hardware backend: [hw_cycles]

@@ -5,29 +5,15 @@ type budget = { max_size : int; max_explored : int; max_candidates : int }
 let default_budget = { max_size = 14; max_explored = 60_000; max_candidates = 4_000 }
 let small_budget = { max_size = 8; max_explored = 6_000; max_candidates = 400 }
 
-(* Valid neighbours (preds and succs) of the members, excluding members
-   and nodes outside [allowed], most recently discovered first.  [mark]
-   is an all-clear scratch set of the DFG's capacity, left clear. *)
-let frontier dfg allowed ~mark set =
-  let out = ref [] in
-  let consider v =
-    if
-      Ir.Dfg.valid_node dfg v
-      && (not (Bitset.mem set v))
-      && Bitset.mem allowed v
-      && not (Bitset.mem mark v)
-    then begin
-      Bitset.set mark v;
-      out := v :: !out
-    end
-  in
-  Bitset.iter
-    (fun v ->
-      List.iter consider (Ir.Dfg.preds dfg v);
-      List.iter consider (Ir.Dfg.succs dfg v))
-    set;
-  List.iter (Bitset.clear mark) !out;
-  !out
+(* Each usable node's usable neighbours (valid and in [allowed]): its
+   predecessors, then its successors, as the DFG lists them. *)
+let usable_neighbours dfg allowed =
+  let usable v = Ir.Dfg.valid_node dfg v && Bitset.mem allowed v in
+  Array.init (Ir.Dfg.node_count dfg) (fun u ->
+      if usable u then
+        Array.of_list
+          (List.filter usable (Ir.Dfg.preds dfg u @ Ir.Dfg.succs dfg u))
+      else [||])
 
 type saturation = Cap_candidates | Cap_explored
 
@@ -76,64 +62,76 @@ let connected_full ?guard ?(constraints = Isa.Hw_model.default_constraints)
     | Some a -> a
     | None -> Bitset.of_list n (List.init n (fun i -> i))
   in
-  let seen = Hashtbl.create 1024 in
-  let queue = Queue.create () in
+  let nbrs = usable_neighbours dfg allowed in
+  (* Every set ever queued is in [store], in queue order, and the queue
+     is the index range [explored, length store): popping is loading
+     set [explored], and the store doubles as the seen-set table. *)
+  let store = Bitset.Store.create n in
+  let set = Bitset.create n in
   let results = ref [] in
   let emitted = ref 0 in
   let explored = ref 0 in
-  (* [explored + Queue.length queue] never decreases, so once it reaches
-     [max_explored] no set queued from then on can ever be popped: such
-     sets are dropped instead of queued, and the first drop stops all
-     further growing.  [dropped] stands in for the never-popped sets in
-     the saturation verdict, so results, order and verdict are those of
-     the unbounded queue. *)
+  (* [length store] never decreases, so once it reaches [max_explored]
+     no set stored from then on can ever be popped: such sets are
+     dropped instead of stored, and the first drop stops all further
+     growing.  [dropped] stands in for the never-popped sets in the
+     saturation verdict, so results, order and verdict are those of the
+     unbounded queue. *)
   let dropped = ref false in
-  (* [key] is unseen; [grow] builds its set *)
-  let offer key grow =
-    if !explored + Queue.length queue >= budget.max_explored then dropped := true
-    else begin
-      Hashtbl.add seen key ();
-      Queue.push (grow ()) queue
-    end
+  let offer v =
+    if Bitset.Store.length store < budget.max_explored then
+      ignore (Bitset.Store.add_with store set v : bool)
+    else if not (Bitset.Store.mem_with store set v) then dropped := true
   in
   for v = 0 to n - 1 do
-    if Ir.Dfg.valid_node dfg v && Bitset.mem allowed v then begin
-      let set = Bitset.of_list n [ v ] in
-      offer (Bitset.to_key set) (fun () -> set)
-    end
+    if Ir.Dfg.valid_node dfg v && Bitset.mem allowed v then offer v
   done;
-  let mark = Bitset.create n in
+  let feasible = Isa.Custom_inst.feasible ~constraints dfg in
+  (* the frontier of the popped set: its members' usable neighbours
+     outside it, once each, in discovery order; [mark] is left clear *)
+  let frontier = Array.make n 0 and mark = Bitset.create n in
   (* one fuel unit per expansion — the same granularity as
      [budget.max_explored], but shared across calls when the caller
      passes one guard for a whole sweep *)
   while
-    (not (Queue.is_empty queue))
+    Bitset.Store.length store > !explored
     && !explored < budget.max_explored
     && !emitted < budget.max_candidates
     && Engine.Guard.tick guard
   do
-    let set = Queue.pop queue in
+    Bitset.Store.load store !explored set;
     incr explored;
-    (match Isa.Custom_inst.check ~constraints dfg set with
-     | Ok ci when Isa.Custom_inst.gain ci > 0 ->
-       incr emitted;
-       results := ci :: !results
-     | Ok _ | Error _ -> ());
-    if (not !dropped) && Bitset.cardinal set < budget.max_size then
-      List.iter
-        (fun v ->
-          if not !dropped then begin
-            (* probe with [v] set in place; copy only an unseen set *)
-            Bitset.set set v;
-            let key = Bitset.to_key set in
-            Bitset.clear set v;
-            if not (Hashtbl.mem seen key) then
-              offer key (fun () ->
-                  let grown = Bitset.copy set in
-                  Bitset.set grown v;
-                  grown)
-          end)
-        (frontier dfg allowed ~mark set)
+    (* [set] is reloaded on the next pop: an emitted instruction gets
+       its own copy *)
+    if feasible set then begin
+      let ci = Isa.Custom_inst.make_unchecked dfg (Bitset.copy set) in
+      if Isa.Custom_inst.gain ci > 0 then begin
+        incr emitted;
+        results := ci :: !results
+      end
+    end;
+    if (not !dropped) && Bitset.cardinal set < budget.max_size then begin
+      let found = ref 0 in
+      let u = ref (Bitset.next set 0) in
+      while !u < n do
+        let ns = nbrs.(!u) in
+        for j = 0 to Array.length ns - 1 do
+          let v = ns.(j) in
+          if not (Bitset.mem set v || Bitset.mem mark v) then begin
+            Bitset.set mark v;
+            frontier.(!found) <- v;
+            incr found
+          end
+        done;
+        u := Bitset.next set (!u + 1)
+      done;
+      (* most recently discovered first *)
+      for j = !found - 1 downto 0 do
+        let v = frontier.(j) in
+        Bitset.clear mark v;
+        if not !dropped then offer v
+      done
+    end
   done;
   Obs.Metrics.inc ~by:(float_of_int !explored) "enumerate.explored";
   Obs.Metrics.inc ~by:(float_of_int !emitted) "enumerate.candidates";
@@ -142,7 +140,8 @@ let connected_full ?guard ?(constraints = Isa.Hw_model.default_constraints)
   let saturation =
     if !emitted >= budget.max_candidates then Some Cap_candidates
     else if
-      ((not (Queue.is_empty queue)) || !dropped) && !explored >= budget.max_explored
+      (Bitset.Store.length store > !explored || !dropped)
+      && !explored >= budget.max_explored
     then Some Cap_explored
     else None
   in

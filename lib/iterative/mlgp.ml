@@ -15,14 +15,14 @@ let score_of ci =
   { ratio = float_of_int gain /. float_of_int (max 1 ci.Isa.Custom_inst.area);
     gain = max 0 gain }
 
-(* One [Custom_inst.check] per candidate set: [None] when the set is not
-   a legal custom instruction (the empty set is legal and scores 0). *)
+(* One admission test per candidate set, and one evaluation of a set
+   that passes: [None] when the set is not a legal custom instruction
+   (the empty set is legal and scores 0). *)
 let legal_score ?constraints dfg set =
   if Bitset.is_empty set then Some empty_score
-  else
-    match Isa.Custom_inst.check ?constraints dfg set with
-    | Ok ci -> Some (score_of ci)
-    | Error _ -> None
+  else if Isa.Custom_inst.feasible ?constraints dfg set then
+    Some (score_of (Isa.Custom_inst.make_unchecked dfg set))
+  else None
 
 (* The contracted ("quotient") graph: one macro per cluster or
    partition (ids below [k]) and one per node outside them all (id

@@ -241,6 +241,30 @@ let test_run_creates_repro_dir () =
     check bool "repro file exists" true (Sys.file_exists file)
   | _ -> Alcotest.fail "expected one failure with a written repro file"
 
+(* A property that raises fails with the exception's text and a
+   written repro (the shrinker keeps shrinking while it raises), and the
+   next property still runs. *)
+let test_raising_property_fails () =
+  let dir = tmp_file "run-raises" in
+  Fun.protect ~finally:(fun () -> Test_helpers.rm_rf dir) @@ fun () ->
+  let raises =
+    { Check.Prop.name = "raises"; suite = "test";
+      run = (fun _ -> failwith "deliberate") }
+  and after =
+    { Check.Prop.name = "after"; suite = "test"; run = (fun _ -> Check.Prop.Pass) }
+  in
+  let summary =
+    Check.Runner.run ~props:[ raises; after ]
+      { (quiet_config ~seed:1 ~budget:3) with repro_dir = dir }
+  in
+  check int "every case of both properties ran" 4 summary.Check.Runner.cases;
+  check int "the next property passed" 3 summary.Check.Runner.passed;
+  match summary.Check.Runner.failures with
+  | [ { Check.Runner.prop = "raises"; message; repro_file = Some file; _ } ] ->
+    check Alcotest.string "message" "raised Failure(\"deliberate\")" message;
+    check bool "repro file exists" true (Sys.file_exists file)
+  | _ -> Alcotest.fail "expected one failure of [raises] with a written repro file"
+
 let test_replay_unknown_property () =
   let file = tmp_file "unknown-prop.json" in
   let inst = Check.Gen.instance (Util.Prng.create 1) in
@@ -337,6 +361,8 @@ let () =
             test_replay_unknown_property;
           Alcotest.test_case "self-test repro replays from a new dir" `Quick
             test_selftest_repro_replays;
+          Alcotest.test_case "raising property fails with a repro" `Quick
+            test_raising_property_fails;
           Alcotest.test_case "run creates a missing repro dir" `Quick
             test_run_creates_repro_dir ] );
       ( "cache",

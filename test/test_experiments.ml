@@ -120,6 +120,37 @@ let test_a1_gain_columns () =
         ("aes", 124, 120); ("adpcm_enc", 180, 175) ]
       rows
 
+(* A4 prints a timing column too: pin its best-speedup column and the
+   enumeration counters of its four lms curves, which the production-
+   scale searches (up to 200 000 explored sets) must reproduce
+   exactly. *)
+let test_a4_budget_columns () =
+  match Experiments.Registry.find "a4" with
+  | None -> Alcotest.fail "experiment a4 not registered"
+  | Some e ->
+    let s0 = Obs.Snapshot.take () in
+    let out = render e in
+    let d = Obs.Snapshot.delta ~before:s0 ~after:(Obs.Snapshot.take ()) in
+    let rows =
+      String.split_on_char '\n' out
+      |> List.filter_map (fun line ->
+             match String.split_on_char ' ' line |> List.filter (( <> ) "") with
+             | budget :: explored :: speedup :: _ when int_of_string_opt explored <> None ->
+               Some (budget, int_of_string explored, speedup)
+             | _ -> None)
+    in
+    check
+      Alcotest.(list (triple string int string))
+      "budget, explored cap, best speedup"
+      [ ("tiny", 500, "1.578x"); ("small", 6000, "1.633x");
+        ("default", 60000, "1.633x"); ("large", 200000, "1.633x") ]
+      rows;
+    List.iter
+      (fun (name, want) ->
+        check (Alcotest.float 0.) name want (Obs.Snapshot.counter d name))
+      [ ("enumerate.explored", 266_349.); ("enumerate.candidates", 365.);
+        ("enumerate.cap_saturated", 4.) ]
+
 let test_tasks_of_utilization () =
   let tasks = Experiments.Curves.tasks_of ~u:1.05 [ "lms"; "ndes" ] in
   check (Alcotest.float 0.02) "target utilization" 1.05
@@ -150,4 +181,6 @@ let () =
             (run_and_expect "t5.2" [ "3des, rijndael, sha, g721decode" ]);
           Alcotest.test_case "t4.1 notes the ispell substitution" `Quick
             (run_and_expect "t4.1" [ "md5" ]);
-          Alcotest.test_case "a1 gain columns" `Quick test_a1_gain_columns ] ) ]
+          Alcotest.test_case "a1 gain columns" `Quick test_a1_gain_columns;
+          Alcotest.test_case "a4 budget columns and counters" `Quick
+            test_a4_budget_columns ] ) ]

@@ -110,10 +110,10 @@ let test_critical_path () =
   check (Alcotest.float 1e-9) "critical path" 7.
     (Ir.Dfg.critical_path dfg ~delay set)
 
-(* The systhreads of one domain share [critical_path]'s scratch.  A
-   [delay] that yields at every node makes four threads interleave
-   inside the call on overlapping random sets; each must still get the
-   answers of a sequential run. *)
+(* The systhreads of one domain share the scratch of [critical_path]
+   and of the input count.  A [delay] that yields at every node makes
+   four threads interleave inside the calls on overlapping random sets;
+   each must still get the answers of a sequential run. *)
 let test_critical_path_threads () =
   let prng = Util.Prng.create 5 in
   let dfg = Kernels.Blockgen.block prng ~size:200 Kernels.Blockgen.dsp_mix in
@@ -128,7 +128,10 @@ let test_critical_path_threads () =
   in
   let delay_of = function Ir.Op.Mul -> 5. | Ir.Op.Add -> 3. | _ -> 2. in
   let run ~delay i =
-    List.init 8 (fun j -> Ir.Dfg.critical_path dfg ~delay sets.((i + j) mod 8))
+    List.init 8 (fun j ->
+        let set = sets.((i + j) mod 8) in
+        let path = Ir.Dfg.critical_path dfg ~delay set in
+        (path, Ir.Dfg.input_count dfg set, Ir.Dfg.output_count dfg set))
   in
   let expected = Array.init 4 (run ~delay:delay_of) in
   let got = Array.make 4 [] in
@@ -137,7 +140,9 @@ let test_critical_path_threads () =
   |> List.iter Thread.join;
   Array.iteri
     (fun i e ->
-      check (Alcotest.list (Alcotest.float 0.)) (Printf.sprintf "thread %d" i) e got.(i))
+      check
+        Alcotest.(list (triple (float 0.) int int))
+        (Printf.sprintf "thread %d" i) e got.(i))
     expected
 
 let test_reachability () =

@@ -188,7 +188,67 @@ let prop_bitset_model =
       && B.equal a b = (model = other)
       && (B.to_key a = B.to_key b) = (model = other)
       && B.to_key (B.of_list cap model) = B.to_key a
-      && key_injective)
+      && key_injective
+      && List.for_all
+           (fun i ->
+             B.next a i
+             = match List.find_opt (fun x -> x >= i) model with
+               | Some x -> x
+               | None -> cap)
+           (List.init (cap + 2) Fun.id))
+
+(* The packed store against a list of sorted lists in insertion order:
+   [add], the [∪ {v}] probe and [add_with], then [load] of every
+   index.  Up to 600 operations on sets of up to four elements outgrow
+   the store's initial 64 sets and 128 slots at the larger
+   capacities. *)
+let prop_bitset_store_model =
+  let module B = Util.Bitset in
+  QCheck.Test.make ~name:"bitset store agrees with a list-of-lists model" ~count:300
+    QCheck.(
+      pair (int_bound 6)
+        (list_of_size (Gen.int_range 0 600)
+           (triple (int_bound 2) (small_list (int_bound 1000)) (int_bound 1000))))
+    (fun (ci, ops) ->
+      let cap = [| 0; 1; 62; 63; 64; 125; 519 |].(ci) in
+      let store = B.Store.create cap in
+      let model = ref [] (* reversed *) in
+      let stored l = List.mem l !model in
+      let intern l =
+        let fresh = not (stored l) in
+        if fresh then model := l :: !model;
+        fresh
+      in
+      let ok =
+        List.for_all
+          (fun (op, elts, v) ->
+            let elts =
+              if cap = 0 then []
+              else List.filteri (fun i _ -> i < 4) elts |> List.map (fun x -> x mod cap)
+            in
+            let set = B.of_list cap elts in
+            let l = List.sort_uniq compare elts in
+            let result =
+              if op = 0 || cap = 0 then B.Store.add store set = intern l
+              else begin
+                let v = v mod cap in
+                let lv = List.sort_uniq compare (v :: l) in
+                B.Store.mem_with store set v = stored lv
+                && (op = 1 || B.Store.add_with store set v = intern lv)
+              end
+            in
+            result && B.elements set = l && B.Store.length store = List.length !model)
+          ops
+      in
+      let loaded =
+        let dst = B.create cap in
+        List.mapi
+          (fun i _ ->
+            B.Store.load store i dst;
+            B.elements dst)
+          !model
+      in
+      ok && loaded = List.rev !model)
 
 (* ------------------------------------------------------------------ *)
 (* Pareto front                                                       *)
@@ -373,7 +433,8 @@ let () =
           Alcotest.test_case "set operations" `Quick test_bitset_setops;
           Alcotest.test_case "byte boundary" `Quick test_bitset_boundary;
           qt prop_bitset_roundtrip;
-          qt prop_bitset_model ] );
+          qt prop_bitset_model;
+          qt prop_bitset_store_model ] );
       ( "pareto",
         [ Alcotest.test_case "simple front" `Quick test_front_simple;
           Alcotest.test_case "best value at" `Quick test_front_best_value_at;
